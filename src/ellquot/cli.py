@@ -227,6 +227,11 @@ def _sweep_one(task):
 
 
 def cmd_sweep(args) -> int:
+    if args.count < 0:
+        raise EllquotError(f"--count must be >= 0, got {args.count}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise EllquotError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     tasks = [(args.l, args.seed, i, args.as_printed) for i in range(args.count)]
     if args.jobs > 1:
         import multiprocessing

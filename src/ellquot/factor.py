@@ -1,11 +1,13 @@
 """Polynomial factorization over GF(p) and over Q, plus rational roots.
 
-GF(p) work runs on plain integer coefficient lists (ascending degree) for
-speed; results are wrapped back into UniPoly over PrimeField.  Factorization
-over Q follows the classical route: squarefree decomposition, factorization
-modulo a good prime, Hensel lifting past the coefficient bound, and subset
-recombination.  Degrees up to 16 are supported, which covers everything this
-package produces.
+This module holds the algorithms only; all coefficient arithmetic runs on the
+integer-list kernel in ``intpoly``.  Over GF(p): squarefree decomposition,
+distinct-degree and equal-degree (Cantor-Zassenhaus) splitting, with results
+wrapped back into UniPoly over PrimeField.  Over Q: Yun's squarefree
+decomposition of the primitive integer model, factorization modulo a good
+prime, Hensel lifting past the coefficient bound, and subset recombination.
+Rational roots come from p-adic lifting and rational reconstruction.  Degrees
+up to 16 are supported, which covers everything this package produces.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
+from . import intpoly as ip
 from .errors import ZeroPolynomialError
-from .fields import QQ, PrimeField, is_probable_prime
+from .fields import QQ, PrimeField
 from .poly import UniPoly
 
 FACTOR_DEGREE_CAP = 16
@@ -36,115 +38,39 @@ def primes():
         n += 2
 
 
+def _squarefree_primes(f, candidates):
+    """(p, f mod p) for each p in candidates keeping deg f and f squarefree mod p."""
+    for p in candidates:
+        fp = ip.trim(f, p)
+        if len(fp) == len(f) and len(ip.gcd_mod(fp, ip.deriv(fp, p), p)) == 1:
+            yield p, fp
+
+
 # ---------------------------------------------------------------------------
-# GF(p) arithmetic on ascending integer coefficient lists
+# Factorization over GF(p)
 
 
-def _gf_trim(f, p):
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _gf_add(f, g, p):
-    n = max(len(f), len(g))
-    return _gf_trim(
-        [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)], p
-    )
-
-
-def _gf_sub(f, g, p):
-    n = max(len(f), len(g))
-    return _gf_trim(
-        [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)], p
-    )
-
-
-def _gf_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _gf_trim(out, p)
-
-
-def _gf_divmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero mod p")
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    if len(f) < len(g):
-        return [], _gf_trim(f, p)
-    quo = [0] * (len(f) - dg)
-    for k in range(len(f) - dg - 1, -1, -1):
-        c = f[k + dg] % p * inv % p
-        quo[k] = c
-        if c:
-            for j, b in enumerate(g):
-                f[k + j] -= c * b
-    return _gf_trim(quo, p), _gf_trim(f[:dg], p)
-
-
-def _gf_rem(f, g, p):
-    return _gf_divmod(f, g, p)[1]
-
-
-def _gf_monic(f, p):
-    if not f:
-        return []
-    inv = pow(f[-1], p - 2, p)
-    return [c * inv % p for c in f]
-
-
-def _gf_gcd(f, g, p):
-    while g:
-        f, g = g, _gf_rem(f, g, p)
-    return _gf_monic(f, p)
-
-
-def _gf_pow_mod(f, e, mod, p):
-    out = [1]
-    f = _gf_rem(f, mod, p)
-    while e:
-        if e & 1:
-            out = _gf_rem(_gf_mul(out, f, p), mod, p)
-        e >>= 1
-        if e:
-            f = _gf_rem(_gf_mul(f, f, p), mod, p)
-    return out
-
-
-def _gf_deriv(f, p):
-    return _gf_trim([i * c for i, c in enumerate(f)][1:], p)
-
-
-def _gf_squarefree_parts(f, p):
+def _squarefree_mod_p(f, p):
     """[(g, multiplicity)] with g monic squarefree, product g^m = input (monic)."""
-    f = _gf_monic(f, p)
+    f = ip.monic(f, p)
     out = []
 
     def recurse(f, mult):
-        df = _gf_deriv(f, p)
+        df = ip.deriv(f, p)
         if not df:
             # f = h(x^p); take the p-th root and recurse with multiplicity * p
-            root = [f[i] for i in range(0, len(f), p)]
-            recurse(root, mult * p)
+            recurse(f[::p], mult * p)
             return
-        g = _gf_gcd(f, df, p)
-        w = _gf_divmod(f, g, p)[0]
+        g = ip.gcd_mod(f, df, p)
+        w = ip.divmod_mod(f, g, p)[0]
         i = 1
         while len(w) > 1:
-            y = _gf_gcd(w, g, p)
-            z = _gf_divmod(w, y, p)[0]
+            y = ip.gcd_mod(w, g, p)
+            z = ip.divmod_mod(w, y, p)[0]
             if len(z) > 1:
                 out.append((z, mult * i))
             w = y
-            g = _gf_divmod(g, y, p)[0]
+            g = ip.divmod_mod(g, y, p)[0]
             i += 1
         if len(g) > 1:
             # the residual is a p-th power; the zero-derivative branch of the
@@ -155,64 +81,58 @@ def _gf_squarefree_parts(f, p):
     return out
 
 
-def _gf_distinct_degree(f, p):
+def _distinct_degree(f, p):
     """[(product of degree-d irreducibles, d)] for monic squarefree f."""
     out = []
     x = [0, 1]
-    h = list(x)
-    fcur = list(f)
+    h = x
     d = 0
-    while len(fcur) - 1 > 2 * d:
+    while len(f) - 1 > 2 * d:
         d += 1
-        h = _gf_pow_mod(h, p, fcur, p)
-        g = _gf_gcd(_gf_sub(h, x, p), fcur, p)
+        h = ip.powmod(h, p, f, p)
+        g = ip.gcd_mod(ip.sub(h, x, p), f, p)
         if len(g) > 1:
             out.append((g, d))
-            fcur = _gf_divmod(fcur, g, p)[0]
-            h = _gf_rem(h, fcur, p)
-    if len(fcur) > 1:
-        out.append((fcur, len(fcur) - 1))
+            f = ip.divmod_mod(f, g, p)[0]
+            h = ip.divmod_mod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
-def _gf_equal_degree(f, d, p, rng):
+def _equal_degree(f, d, p, rng):
     """Split a monic squarefree product of degree-d irreducibles."""
     n = len(f) - 1
     if n == d:
         return [f]
     while True:
-        h = [rng.randrange(p) for _ in range(n)]
-        h = _gf_trim(h, p)
+        h = ip.trim([rng.randrange(p) for _ in range(n)], p)
         if len(h) < 2:
             continue
         if p == 2:
             # trace map over GF(2^d)
-            t = list(h)
-            acc = list(h)
+            t = acc = h
             for _ in range(d - 1):
-                acc = _gf_pow_mod(acc, 2, f, p)
-                t = _gf_add(t, acc, p)
-            g = _gf_gcd(t, f, p)
+                acc = ip.powmod(acc, 2, f, p)
+                t = ip.add(t, acc, p)
+            g = ip.gcd_mod(t, f, p)
         else:
-            g = _gf_gcd(h, f, p)
-            if 1 < len(g) < len(f):
-                pass
-            else:
-                e = (p ** d - 1) // 2
-                t = _gf_pow_mod(h, e, f, p)
-                g = _gf_gcd(_gf_sub(t, [1], p), f, p)
+            g = ip.gcd_mod(h, f, p)
+            if not 1 < len(g) < len(f):
+                t = ip.powmod(h, (p ** d - 1) // 2, f, p)
+                g = ip.gcd_mod(ip.sub(t, [1], p), f, p)
         if 1 < len(g) < len(f):
-            rest = _gf_divmod(f, g, p)[0]
-            return _gf_equal_degree(g, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
+            rest = ip.divmod_mod(f, g, p)[0]
+            return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
 
 
-def _gf_factor(f, p, seed=0):
-    """Complete monic factorization: [(factor, multiplicity)], sorted."""
-    rng = random.Random((seed, p, tuple(f)).__hash__())
+def _factor_mod(f, p):
+    """Complete factorization of monic f over GF(p): [(factor, multiplicity)], sorted."""
+    rng = random.Random(hash((p, tuple(f))))
     out = []
-    for part, mult in _gf_squarefree_parts(f, p):
-        for block, d in _gf_distinct_degree(part, p):
-            for irr in _gf_equal_degree(block, d, p, rng):
+    for part, mult in _squarefree_mod_p(f, p):
+        for block, d in _distinct_degree(part, p):
+            for irr in _equal_degree(block, d, p, rng):
                 out.append((irr, mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
@@ -260,220 +180,98 @@ def factor_mod_p(f: UniPoly, p: int | None = None) -> FactorList:
     if isinstance(f.field, PrimeField):
         if p is not None and p != f.field.p:
             raise ValueError("p does not match the coefficient field")
-        p = f.field.p
         field = f.field
+        p = field.p
         ints = [c.value for c in f.coeffs]
     else:
         if p is None:
             raise ValueError("p is required for polynomials over Q")
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
-        field = PrimeField(p)
-        ints = [field(c).value for c in f.coeffs]
-    ints = _gf_trim(ints, p)
+        if f.field != QQ:
+            raise TypeError(f"cannot reduce coefficients in {f.field!r} mod {p}")
+        field = PrimeField(p)  # the primality check
+        ints = []
+        for c in f.coeffs:
+            if c.denominator % p == 0:
+                raise ZeroDivisionError(f"denominator divisible by {p}")
+            ints.append(c.numerator * pow(c.denominator, -1, p))
+    ints = ip.trim(ints, p)
     if not ints:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if len(ints) == 1:
         return FactorList(unit=field(ints[0]), factors=[])
-    unit = field(ints[-1])
-    facs = _gf_factor(_gf_monic(ints, p), p)
+    facs = _factor_mod(ip.monic(ints, p), p)
     out = [(UniPoly(field, [field(c) for c in g], f.var), m) for g, m in facs]
-    return FactorList(unit=unit, factors=out)
+    return FactorList(unit=field(ints[-1]), factors=out)
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers (ascending int lists)
+# Factorization over Q
 
 
-def _zz_trim(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _zz_content(f):
-    return reduce(math.gcd, (abs(c) for c in f), 0)
-
-
-def _zz_primitive(f):
-    c = _zz_content(f)
-    if c == 0:
-        return 0, []
-    if f[-1] < 0:
-        c = -c
-    return c, [x // c for x in f]
-
-
-def _zz_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def _zz_deriv(f):
-    return [i * c for i, c in enumerate(f)][1:]
-
-
-def _zz_divexact(f, g):
-    """Exact division in Z[x]; returns None when not exact."""
-    f = list(f)
-    if not g:
-        return None
-    dg = len(g) - 1
-    if len(f) < len(g):
-        return None if _zz_trim(f) else []
-    quo = [0] * (len(f) - dg)
-    for k in range(len(f) - dg - 1, -1, -1):
-        if f[k + dg] % g[-1]:
-            return None
-        c = f[k + dg] // g[-1]
-        quo[k] = c
-        if c:
-            for j, b in enumerate(g):
-                f[k + j] -= c * b
-    if _zz_trim(f[:dg]):
-        return None
-    return quo
-
-
-def _zz_gcd(f, g):
-    """Primitive gcd in Z[x] (via Q[x] gcd on primitive parts)."""
-    fq = UniPoly(QQ, [Fraction(c) for c in f])
-    gq = UniPoly(QQ, [Fraction(c) for c in g])
-    h = fq.gcd(gq)
-    if h.is_zero:
-        return []
-    den = reduce(math.lcm, (c.denominator for c in h.coeffs), 1)
-    ints = [int(c * den) for c in h.coeffs]
-    return _zz_primitive(ints)[1]
-
-
-def _zz_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _zz_mignotte_bound(f):
+def _mignotte_bound(f):
     """Knuth-Cohen flavored bound on coefficients of factors of f."""
     n = len(f) - 1
     norm = math.isqrt(sum(c * c for c in f)) + 1
     return (math.comb(n, n // 2) * norm * abs(f[-1])) * 2 + max(abs(c) for c in f)
 
 
-def _zz_squarefree_parts(f):
+def _yun(f):
     """Yun decomposition of a primitive f: [(primitive squarefree g, mult)]."""
     out = []
-    df = _zz_deriv(f)
-    g = _zz_gcd(f, df)
+    df = ip.deriv(f)
+    g = ip.gcd_zz(f, df)
     if len(g) == 1:
         return [(f, 1)]
-    w = _zz_divexact(f, g)
-    y = _zz_divexact(df, g)
+    w = ip.divexact_zz(f, g)
+    y = ip.divexact_zz(df, g)
     i = 1
     while True:
-        z = [a - b for a, b in zip(_zz_deriv(w) + [0] * len(y), y + [0] * len(w))]
-        z = _zz_trim(z)
+        z = ip.sub(y, ip.deriv(w))
         if not z:
             if len(w) > 1:
-                out.append((_zz_primitive(w)[1], i))
+                out.append((ip.primitive(w)[1], i))
             break
-        h = _zz_gcd(w, z)
+        h = ip.gcd_zz(w, z)
         if len(h) > 1:
-            out.append((_zz_primitive(h)[1], i))
-        w = _zz_divexact(w, h)
-        y = _zz_divexact(z, h)
+            out.append((h, i))
+        w = ip.divexact_zz(w, h)
+        y = ip.divexact_zz(z, h)
         i += 1
     return out
-
-
-def _zz_add(f, g):
-    n = max(len(f), len(g))
-    return [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
-
-
-def _zz_sub(f, g):
-    n = max(len(f), len(g))
-    return [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
-
-
-def _zz_trunc(f, m):
-    return _zz_trim([_sym(c, m) for c in f])
 
 
 def _hensel_step(m, f, g, h, s, t):
     """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to modulus m^2.
 
     Requires lc(h) = 1 and lc(f) invertible mod m; returns (G, H, S, T) with
-    the same relations mod m^2.
+    the same relations mod m^2 (von zur Gathen & Gerhard, Algorithm 15.10).
     """
     M = m * m
-    e = _zz_trunc(_zz_sub(f, _zz_mul(g, h)), M)
-    q, r = _zz_divmod_mod(_zz_mul(s, e), h, M)
-    G = _zz_trunc(_zz_add(g, _zz_add(_zz_mul(t, e), _zz_mul(q, g))), M)
-    H = _zz_trunc(_zz_add(h, r), M)
-    b = _zz_trunc(_zz_sub(_zz_add(_zz_mul(s, G), _zz_mul(t, H)), [1]), M)
-    c, d = _zz_divmod_mod(_zz_mul(s, b), H, M)
-    S = _zz_trunc(_zz_sub(s, d), M)
-    T = _zz_trunc(_zz_sub(t, _zz_add(_zz_mul(t, b), _zz_mul(c, G))), M)
+    e = ip.sub(f, ip.mul(g, h), M)
+    q, r = ip.divmod_mod(ip.mul(s, e), h, M)
+    G = ip.add(g, ip.add(ip.mul(t, e), ip.mul(q, g)), M)
+    H = ip.add(h, r, M)
+    b = ip.sub(ip.add(ip.mul(s, G), ip.mul(t, H)), [1], M)
+    c, d = ip.divmod_mod(ip.mul(s, b), H, M)
+    S = ip.sub(s, d, M)
+    T = ip.sub(t, ip.add(ip.mul(t, b), ip.mul(c, G)), M)
     return G, H, S, T
 
 
-def _sym(c, m):
-    """Symmetric representative of c mod m in (-m/2, m/2]."""
-    c %= m
-    if 2 * c > m:
-        c -= m
-    return c
-
-
-def _zz_divmod_mod(f, g, m):
-    """Division mod m by a polynomial whose lc is invertible mod m."""
-    f = [c % m for c in f]
-    g = [c % m for c in g]
-    g = _zz_trim(g)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, m)
-    if len(f) < len(g):
-        return [], _zz_trim([_sym(c, m) for c in f])
-    quo = [0] * (len(f) - dg)
-    for k in range(len(f) - dg - 1, -1, -1):
-        c = f[k + dg] * inv % m
-        quo[k] = c
-        if c:
-            for j, b in enumerate(g):
-                f[k + j] = (f[k + j] - c * b) % m
-    return _zz_trim([_sym(c, m) for c in quo]), _zz_trim([_sym(c, m) for c in f[:dg]])
-
-
 def _hensel_lift(p, f, mod_factors, level):
-    """Lift the monic factors of f mod p to factors mod p^(2^level)."""
-    r = len(mod_factors)
-    lc = f[-1]
+    """Lift the monic factors of f mod p to monic factors mod p^(2^level)."""
     target = p ** (2 ** level)
-    if r == 1:
-        inv = pow(lc, -1, target)
-        return [_zz_trim([_sym(c * inv, target) for c in f])]
-    k = r // 2
+    if len(mod_factors) == 1:
+        return [ip.monic(ip.trim(f, target), target)]
+    k = len(mod_factors) // 2
     left, right = mod_factors[:k], mod_factors[k:]
-    g = [lc % p]
+    g = [f[-1] % p]
     for fac in left:
-        g = [c % p for c in _zz_mul(g, fac)]
+        g = ip.mul(g, fac, p)
     h = [1]
     for fac in right:
-        h = [c % p for c in _zz_mul(h, fac)]
-    s, t = _gf_bezout(g, h, p)
-    g = _zz_trim([_sym(c, p) for c in g])
-    h = _zz_trim([_sym(c, p) for c in h])
-    s = _zz_trim([_sym(c, p) for c in s])
-    t = _zz_trim([_sym(c, p) for c in t])
+        h = ip.mul(h, fac, p)
+    s, t = ip.bezout_mod(g, h, p)
     m = p
     for _ in range(level):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
@@ -481,45 +279,17 @@ def _hensel_lift(p, f, mod_factors, level):
     return _hensel_lift(p, g, left, level) + _hensel_lift(p, h, right, level)
 
 
-def _gf_bezout(g, h, p):
-    """s, t with s*g + t*h = 1 mod p for coprime g, h."""
-    r0, r1 = _gf_trim(g, p), _gf_trim(h, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _gf_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
-    inv = pow(r0[0], p - 2, p)
-    return _gf_mul(s0, [inv], p), _gf_mul(t0, [inv], p)
-
-
-def _zz_zassenhaus(f, seed=0):
+def _zassenhaus(f):
     """Factor a primitive squarefree f in Z[x] with positive lc."""
-    n = len(f) - 1
-    if n == 1:
+    if len(f) == 2:
         return [f]
-    lc = f[-1]
-    bound = _zz_mignotte_bound(f)
+    bound = _mignotte_bound(f)
     # pick a prime keeping f squarefree mod p, preferring few modular factors
     candidates = []
-    gen = primes()
-    checked = 0
-    while len(candidates) < 5 and checked < 120:
-        p = next(gen)
-        checked += 1
-        if lc % p == 0:
-            continue
-        fp = _gf_trim(f, p)
-        if len(fp) != len(f):
-            continue
-        dfp = _gf_deriv(fp, p)
-        if len(_gf_gcd(fp, dfp, p)) != 1:
-            continue
-        facs = [g for g, _ in _gf_factor(_gf_monic(fp, p), p, seed)]
+    for p, fp in _squarefree_primes(f, itertools.islice(primes(), 120)):
+        facs = [g for g, _ in _factor_mod(ip.monic(fp, p), p)]
         candidates.append((len(facs), p, facs))
-        if len(facs) <= 2:
+        if len(candidates) == 5 or len(facs) <= 2:
             break
     _, p, mod_factors = min(candidates, key=lambda c: c[0])
     if len(mod_factors) == 1:
@@ -530,7 +300,7 @@ def _zz_zassenhaus(f, seed=0):
     big = p ** (2 ** level)
     lifted = _hensel_lift(p, f, mod_factors, level)
 
-    # subset recombination by trial division
+    # subset recombination by trial division, in symmetric representatives
     result = []
     current = f
     indices = list(range(len(lifted)))
@@ -539,14 +309,14 @@ def _zz_zassenhaus(f, seed=0):
         for subset in itertools.combinations(indices, size):
             g = [current[-1]]
             for i in subset:
-                g = _zz_trunc(_zz_mul(g, lifted[i]), big)
-            g = _zz_primitive(g)[1]
+                g = ip.mul(g, lifted[i], big)
+            g = ip.primitive(ip.symmetric(g, big))[1]
             if not g:
                 continue
-            q = _zz_divexact(current, g)
+            q = ip.divexact_zz(current, g)
             if q is not None:
                 result.append(g)
-                current = _zz_primitive(q)[1]
+                current = ip.primitive(q)[1]
                 indices = [i for i in indices if i not in subset]
                 break
         else:
@@ -554,6 +324,14 @@ def _zz_zassenhaus(f, seed=0):
     if len(current) > 1:
         result.append(current)
     return result
+
+
+def _strip_x(ints):
+    """(k, g) with ints = x^k * g and g(0) != 0."""
+    k = 0
+    while ints[k] == 0:
+        k += 1
+    return k, ints[k:]
 
 
 def factor_over_Q(f: UniPoly) -> FactorList:
@@ -571,24 +349,15 @@ def factor_over_Q(f: UniPoly) -> FactorList:
     if f.degree == 0:
         return FactorList(unit=f.coeffs[0], factors=[])
 
-    den = reduce(math.lcm, (c.denominator for c in f.coeffs), 1)
-    ints = [int(c * den) for c in f.coeffs]
-
-    # strip powers of x
-    k0 = 0
-    while ints[0] == 0:
-        ints.pop(0)
-        k0 += 1
-    cont, prim = _zz_primitive(ints)
-    unit = Fraction(cont, den)
-
+    unit, ints = ip.integer_model(f.coeffs)
+    k0, prim = _strip_x(ints)
     factors = []
     if k0:
         factors.append((UniPoly.gen(QQ, f.var), k0))
     if len(prim) > 1:
-        for part, mult in _zz_squarefree_parts(prim):
-            for irr in _zz_zassenhaus(part):
-                mono = UniPoly(QQ, [Fraction(c) for c in irr], f.var)
+        for part, mult in _yun(prim):
+            for irr in _zassenhaus(part):
+                mono = UniPoly(QQ, irr, f.var)
                 unit *= mono.lc ** mult
                 factors.append((mono.monic(), mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
@@ -621,78 +390,53 @@ def rational_roots(f: UniPoly) -> list:
     if f.degree == 0:
         return []
 
-    den = reduce(math.lcm, (c.denominator for c in f.coeffs), 1)
-    ints = [int(c * den) for c in f.coeffs]
-    roots = []
-    while ints[0] == 0:
-        roots.append(Fraction(0))
-        ints.pop(0)
-    prim = _zz_primitive(ints)[1]
+    k0, prim = _strip_x(ip.integer_model(f.coeffs)[1])
+    roots = [Fraction(0)] * k0
     if len(prim) > 1:
-        g = _zz_squarefree_part(prim)
+        g = _squarefree_part(prim)
         bound_num = abs(g[0])
         bound_den = abs(g[-1])
         target = 2 * bound_num * bound_den + 1
         for r in _lift_rational_roots(g, target, bound_num, bound_den):
-            # multiplicity by repeated exact division of the full polynomial
-            poly = UniPoly(QQ, [Fraction(c) for c in prim], f.var)
-            lin = UniPoly(QQ, [-r, Fraction(1)], f.var)
-            while True:
-                q, rem = poly.divmod(lin)
-                if not rem.is_zero:
-                    break
+            # multiplicity by repeated exact division by the primitive v*x - u
+            lin = [-r.numerator, r.denominator]
+            poly = ip.divexact_zz(prim, lin)
+            while poly is not None:
                 roots.append(r)
-                poly = q
+                poly = ip.divexact_zz(poly, lin)
     return sorted(roots)
 
 
-def _zz_squarefree_part(f):
+def _squarefree_part(f):
     """Squarefree part of a primitive integer polynomial."""
-    g = _zz_gcd(f, _zz_deriv(f))
+    g = ip.gcd_zz(f, ip.deriv(f))
     if len(g) == 1:
         return f
-    return _zz_primitive(_zz_divexact(f, g))[1]
+    return ip.primitive(ip.divexact_zz(f, g))[1]
 
 
 def _lift_rational_roots(g, target, bound_num, bound_den):
     """Candidate rational roots of squarefree primitive g, verified exactly."""
-    p = None
-    for cand in primes():
-        if g[-1] % cand == 0:
-            continue
-        gp = _gf_trim(g, cand)
-        if len(gp) != len(g):
-            continue
-        if len(_gf_gcd(gp, _gf_deriv(gp, cand), cand)) == 1:
-            p = cand
-            break
-    assert p is not None
-    mod_roots = [r for r in range(p) if _zz_eval(g, r) % p == 0]
+    p = next(_squarefree_primes(g, primes()))[0]
+    mod_roots = [r for r in range(p) if ip.evaluate(g, r) % p == 0]
     out = []
-    dg = _zz_deriv(g)
+    dg = ip.deriv(g)
     for r in mod_roots:
         m = p
         ok = True
         while m < target:
             m = m * m
-            dr = _zz_eval(dg, r) % m
+            dr = ip.evaluate(dg, r) % m
             if math.gcd(dr, m) != 1:
                 ok = False
                 break
-            r = (r - _zz_eval(g, r) * pow(dr, -1, m)) % m
+            r = (r - ip.evaluate(g, r) * pow(dr, -1, m)) % m
         if not ok:
             continue
         cand = _rational_reconstruct(r, m, bound_num, bound_den)
-        if cand is not None and _zz_eval_frac(g, cand) == 0:
+        if cand is not None and ip.evaluate(g, cand) == 0:
             out.append(cand)
     return sorted(set(out))
-
-
-def _zz_eval_frac(g, q: Fraction):
-    acc = Fraction(0)
-    for c in reversed(g):
-        acc = acc * q + c
-    return acc
 
 
 def _rational_reconstruct(r, m, bound_num, bound_den):

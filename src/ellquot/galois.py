@@ -10,17 +10,17 @@ with the samples and is reported as sampled evidence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import reduce
 
 from .factor import factor_mod_p, factor_over_Q, primes, rational_roots
 from .fields import QQ, is_square
+from .intpoly import integer_model
 from .poly import UniPoly, discriminant
 
 MIN_PRIME_BUDGET = 20
 DEFAULT_PRIME_BUDGET = 60
+MAX_PRIME_BUDGET = 1000
 
 CYCLIC_PATTERNS = {
     3: {(1, 1, 1), (3,)},
@@ -42,27 +42,29 @@ class GaloisReport:
     pattern_histogram: dict = dataclass_field(default_factory=dict)
 
 
-def _integer_model(f: UniPoly):
-    den = reduce(math.lcm, (c.denominator for c in f.coeffs), 1)
-    ints = [int(c * den) for c in f.coeffs]
-    g = reduce(math.gcd, (abs(c) for c in ints), 0)
-    return [c // g for c in ints] if g else ints
+def _check_budget(prime_budget):
+    if prime_budget > MAX_PRIME_BUDGET:
+        raise ValueError(
+            f"prime budget {prime_budget} exceeds the cap of {MAX_PRIME_BUDGET}"
+        )
 
 
 def frobenius_patterns(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET):
     """Histogram of factor-degree multisets of f mod p over good primes.
 
     Uses the first prime_budget primes dividing neither the leading
-    coefficient nor the discriminant of the primitive integer model.
+    coefficient nor the discriminant of the primitive integer model;
+    prime_budget may not exceed MAX_PRIME_BUDGET.
     """
     if f.field != QQ:
         raise ValueError("frobenius_patterns needs rational coefficients")
-    ints = _integer_model(f)
-    fz = UniPoly(QQ, [Fraction(c) for c in ints], f.var)
+    _check_budget(prime_budget)
+    ints = integer_model(f.coeffs)[1]
+    fz = UniPoly(QQ, ints, f.var)
     d = discriminant(fz)
     if d == 0:
         raise ValueError("frobenius_patterns needs a squarefree polynomial")
-    bad = abs(ints[-1]) * abs(d.numerator)
+    bad = ints[-1] * abs(d.numerator)
     histogram = {}
     used = 0
     for p in primes():
@@ -82,6 +84,7 @@ def galois_group(
     construction_backed: bool = False,
 ) -> GaloisReport:
     """Galois group of a squarefree polynomial of degree 3..6 over Q."""
+    _check_budget(prime_budget)
     n = f.degree
     if not 3 <= n <= 6:
         raise ValueError(f"degree must be 3..6, got {n}")

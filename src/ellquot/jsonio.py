@@ -50,49 +50,69 @@ def poly_to_ascii(f: UniPoly) -> str:
     return " + ".join(parts)
 
 
+# an unsigned term: coefficient, variable power, or both (the * optional)
 _TERM = re.compile(
-    r"^(?P<coef>[+-]?\(?\s*-?\d+\s*(?:/\s*-?\d+)?\s*\)?)?"
-    r"\s*\*?\s*"
-    r"(?:(?P<var>[A-Za-z]\w*)\s*(?:\^\s*(?P<pow>\d+))?)?$"
+    r"(?:(?P<coef>\d+(?:\s*/\s*\d+)?|\(\s*-?\s*\d+(?:\s*/\s*\d+)?\s*\))"
+    r"(?:\s*\*?\s*(?=[A-Za-z]))?)?"
+    r"(?:(?P<var>[A-Za-z]\w*)(?:\s*\^\s*(?P<pow>\d+))?)?"
 )
+
+
+def _signed_terms(text):
+    """Split text at the + and - signs outside parentheses.
+
+    Every piece but the first starts with its sign; the first piece is the
+    text before the first sign (blank when the polynomial starts with one).
+    """
+    pieces, start, depth = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0:
+            pieces.append(text[start:i])
+            start = i
+    pieces.append(text[start:])
+    return pieces
 
 
 def poly_from_ascii(text: str, var: str | None = None) -> UniPoly:
     """Parse the canonical ASCII polynomial form (and tolerant variants).
 
-    Accepts terms like '(3/2)*x^2', '-x', '5', 'x^3 - 2*x + 1/3'.
+    Accepts terms like '(3/2)*x^2', '-x', '5', 'x^3 - 2*x + 1/3'.  Every term
+    carries at most one sign; an empty text, a dangling sign or a malformed
+    term raises ValueError.
     """
-    cleaned = text.replace("-", "+-").replace("++", "+").replace("(+-", "(-")
-    cleaned = cleaned.replace("^+-", "^-").replace("/+-", "/-")
-    terms = [t.strip() for t in cleaned.split("+") if t.strip()]
+    pieces = _signed_terms(text)
+    if not pieces[0].strip():
+        pieces = pieces[1:]
+    if not pieces:
+        raise ValueError(f"empty polynomial text {text!r}")
     coeffs: dict[int, Fraction] = {}
     seen_var = var
-    for term in terms:
-        term = term.strip()
-        if term.startswith("-") and len(term) > 1 and term[1].isalpha():
-            term = "-1*" + term[1:]
-        m = _TERM.match(term)
+    for piece in pieces:
+        sign = -1 if piece[0] == "-" else 1
+        term = piece[1:].strip() if piece[0] in "+-" else piece.strip()
+        if not term:
+            raise ValueError(f"missing term after {piece.strip()!r} in {text!r}")
+        m = _TERM.fullmatch(term)
         if not m:
-            raise ValueError(f"cannot parse polynomial term {term!r}")
-        coef_text = m.group("coef")
-        var_name = m.group("var")
-        power = m.group("pow")
-        if coef_text is None and var_name is None:
-            raise ValueError(f"cannot parse polynomial term {term!r}")
-        if coef_text in (None, "", "+", "-"):
-            coef = Fraction(-1 if coef_text == "-" else 1)
-        else:
-            coef = Fraction(coef_text.replace("(", "").replace(")", "").replace(" ", ""))
-        if var_name is None:
+            raise ValueError(f"cannot parse polynomial term {term!r} in {text!r}")
+        try:
+            coef = sign * Fraction(re.sub(r"[()\s]", "", m["coef"] or "1"))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {term!r} in {text!r}") from None
+        if m["var"] is None:
             k = 0
         else:
             if seen_var is None:
-                seen_var = var_name
-            elif var_name != seen_var:
-                raise ValueError(f"mixed variables {seen_var!r} and {var_name!r}")
-            k = int(power) if power else 1
+                seen_var = m["var"]
+            elif m["var"] != seen_var:
+                raise ValueError(f"mixed variables {seen_var!r} and {m['var']!r}")
+            k = int(m["pow"]) if m["pow"] else 1
         coeffs[k] = coeffs.get(k, Fraction(0)) + coef
-    n = max(coeffs) if coeffs else 0
+    n = max(coeffs)
     return UniPoly(QQ, [coeffs.get(k, Fraction(0)) for k in range(n + 1)], seen_var or "x")
 
 

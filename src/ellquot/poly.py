@@ -2,12 +2,16 @@
 
 Coefficients are stored lowest degree first with no trailing zeros.  The same
 class serves Q, GF(p), rational function fields, and (for resultants only)
-multivariate polynomial rings that provide ``divexact``.
+multivariate polynomial rings that provide ``divexact``.  Integer-coefficient
+work is not done here: the gcd over Q hands the primitive integer models of
+its operands to the int-list kernel in ``intpoly``, which is also what the
+factoring and Galois layers use.
 """
 
 from __future__ import annotations
 
 from .errors import ZeroPolynomialError
+from .intpoly import gcd_zz, integer_model
 
 
 class UniPoly:
@@ -195,8 +199,9 @@ class UniPoly:
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic greatest common divisor over a field.
 
-        Over Q the primitive subresultant sequence is used to keep
-        intermediate coefficients small; other fields use plain Euclid.
+        Over Q (both degrees above 2) the gcd of the primitive integer models
+        is taken in the int-list kernel, which keeps intermediate coefficients
+        small; other fields use plain Euclid.
         """
         if getattr(self.field, "name", "") == "Q" and self.degree > 2 and other.degree > 2:
             return _gcd_primitive_q(self, other)
@@ -334,51 +339,6 @@ def discriminant(f: UniPoly):
 
 
 def _gcd_primitive_q(f: UniPoly, g: UniPoly) -> UniPoly:
-    """gcd over Q through primitive integer remainders (no coefficient blowup)."""
-    import math
-    from fractions import Fraction
-    from functools import reduce
-
-    def to_prim(p):
-        den = reduce(math.lcm, (c.denominator for c in p.coeffs), 1)
-        ints = [int(c * den) for c in p.coeffs]
-        cont = reduce(math.gcd, (abs(c) for c in ints), 0)
-        return [c // cont for c in ints] if cont else []
-
-    def prim_rem(a, b):
-        # primitive pseudo-remainder of integer coefficient lists
-        d = b[-1]
-        r = list(a)
-        while len(r) >= len(b) and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-            lead = r[-1]
-            shift = len(r) - len(b)
-            r = [c * d for c in r]
-            for j, bc in enumerate(b):
-                r[shift + j] -= lead * bc
-            while r and r[-1] == 0:
-                r.pop()
-            cont = reduce(math.gcd, (abs(c) for c in r), 0)
-            if cont > 1:
-                r = [c // cont for c in r]
-        return r
-
-    a = to_prim(f)
-    b = to_prim(g)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = prim_rem(a, b)
-        a, b = b, r
-    return UniPoly(f.field, [Fraction(c) for c in a], f.var).monic()
-
-
-def poly_from_roots(field, roots, var="x") -> UniPoly:
-    out = UniPoly.one(field, var)
-    x = UniPoly.gen(field, var)
-    for r in roots:
-        out = out * (x - UniPoly.constant(field, r, var))
-    return out
+    """gcd over Q through the primitive integer remainder sequence."""
+    h = gcd_zz(integer_model(f.coeffs)[1], integer_model(g.coeffs)[1])
+    return UniPoly(f.field, h, f.var).monic()

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -131,3 +133,23 @@ def test_galois_pncl5_family(capsys):
 def test_galois_requires_exactly_one_source(capsys):
     code, out = run_cli(capsys, "galois", "--poly", "x^3-2", "--family", "shanks", "--t", "1")
     assert code == 2
+
+
+def test_galois_prime_budget_above_the_cap_is_a_domain_error(capsys):
+    code, out = run_cli(capsys, "galois", "--poly", "x^3 - 2", "--primes", "100000")
+    assert code == 2
+    assert "exceeds the cap" in json.loads(out)["payload"]["message"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--count", "-1"), ("--jobs", "0"), ("--jobs", str((os.cpu_count() or 1) + 1))],
+)
+def test_sweep_rejects_out_of_range_count_and_jobs(capsys, monkeypatch, flags):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out = run_cli(capsys, "sweep", "--l", "5", "--count", "2", *flags)
+    assert code == 2
+    assert json.loads(out)["status"] == "error"

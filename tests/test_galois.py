@@ -15,6 +15,7 @@ from ellquot import (
 )
 from ellquot.factor import factor_over_Q
 from ellquot.fields import is_square
+from ellquot.galois import MAX_PRIME_BUDGET
 from ellquot.poly import discriminant
 
 x = UniPoly.gen(QQ)
@@ -82,6 +83,14 @@ def test_degree_range_enforced():
 def test_prime_budget_minimum():
     rep = galois_group(shanks_cubic(1).poly, prime_budget=5)
     assert rep.primes_used >= 20
+
+
+def test_prime_budget_above_the_cap_is_rejected():
+    # the bound is checked before any prime is sampled
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        galois_group(shanks_cubic(1).poly, prime_budget=MAX_PRIME_BUDGET + 1)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        frobenius_patterns(x ** 2 + 1, MAX_PRIME_BUDGET + 1)
 
 
 def test_frobenius_patterns_x2_plus_1():

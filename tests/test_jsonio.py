@@ -52,6 +52,9 @@ def test_poly_ascii_round_trip():
     text = poly_to_ascii(f)
     assert text == "(3/2)*x^4 + (-1/1)*x^1 + (5/1)*x^0"
     assert poly_from_ascii(text) == f
+    t = UniPoly(QQ, [Fraction(2, 3), 0, Fraction(-5)], "t")
+    for g in (x ** 0, 0 * x, -x, Fraction(-7, 3) * x ** 5 - Fraction(1, 9), t):
+        assert poly_from_ascii(poly_to_ascii(g)) == g
 
 
 def test_poly_ascii_tolerant_inputs():
@@ -61,6 +64,18 @@ def test_poly_ascii_tolerant_inputs():
     assert poly_from_ascii("X^4 - 6*X^2 + 1", var="X").degree == 4
     with pytest.raises(ValueError):
         poly_from_ascii("x + y")
+
+
+@pytest.mark.parametrize("text", ["", "x^2 +", "x^2 + + 1"])
+def test_poly_ascii_rejects_missing_terms(text):
+    with pytest.raises(ValueError) as exc:
+        poly_from_ascii(text)
+    assert repr(text) in str(exc.value)
+
+
+def test_poly_ascii_names_the_malformed_term():
+    with pytest.raises(ValueError, match=r"term '\(1/-2\)\*x'"):
+        poly_from_ascii("(1/-2)*x")
 
 
 def test_curve_point_round_trip():

@@ -1,0 +1,84 @@
+"""Property tests of the integer-polynomial kernel through the public API.
+
+sympy serves only as an independent oracle here; the package never imports it.
+"""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+
+from ellquot import QQ, PrimeField, UniPoly, factor_mod_p, factor_over_Q
+from ellquot.jsonio import poly_from_ascii, poly_to_ascii
+
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+x = UniPoly.gen(QQ)
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+def polys(min_degree=0, max_degree=3, coeffs=rationals):
+    """Polynomials over Q with exactly the drawn degree (nonzero leading coefficient)."""
+    return st.builds(
+        lambda low, lc: UniPoly(QQ, low + [lc]),
+        st.integers(min_degree, max_degree).flatmap(lambda d: st.lists(coeffs, min_size=d, max_size=d)),
+        coeffs.filter(bool),
+    )
+
+
+@st.composite
+def products_with_repeats(draw):
+    """unit * x^k * prod(g_i^m_i): repeated factors and a power of x, degree <= 16."""
+    f = UniPoly.constant(QQ, draw(rationals.filter(bool)))
+    f = f * x ** draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(polys(1, 3))
+        m = draw(st.integers(1, 3))
+        if f.degree + m * g.degree <= 16:
+            f = f * g ** m
+    return f
+
+
+@SETTINGS
+@given(products_with_repeats())
+def test_factor_over_Q_expands_back(f):
+    fl = factor_over_Q(f)
+    assert all(g.lc == 1 for g, _ in fl.factors)
+    assert fl.expand() == f
+
+
+@SETTINGS
+@given(
+    polys(1, 8, st.integers(-50, 50).map(Fraction)),
+    st.sampled_from([2, 3, 5, 101]),
+    st.integers(1, 3),
+)
+def test_factor_mod_p_expands_back_with_monic_factors(g, p, m):
+    F = PrimeField(p)
+    f = UniPoly(F, [F(c) for c in (g ** m).coeffs])
+    assume(f.degree >= 1)
+    fl = factor_mod_p(f)
+    assert all(h.lc == F.one for h, _ in fl.factors)
+    assert fl.expand() == f
+    assert factor_mod_p(g ** m, p).factors == fl.factors
+
+
+def _to_sympy(f):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], sympy.Symbol("x"), domain="QQ")
+
+
+@SETTINGS
+@given(polys(0, 4), polys(0, 4), polys(0, 3))
+def test_gcd_over_Q_is_the_monic_common_divisor_sympy_finds(a, b, common):
+    a, b = a * common, b * common
+    h = a.gcd(b)
+    assert h.lc == 1
+    assert a.divmod(h)[1].is_zero and b.divmod(h)[1].is_zero
+    expected = sympy.gcd(_to_sympy(a), _to_sympy(b)).monic()
+    assert [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())] == list(h.coeffs)
+
+
+@SETTINGS
+@given(polys(0, 6))
+def test_ascii_form_round_trips(f):
+    assert poly_from_ascii(poly_to_ascii(f)) == f
