@@ -22,6 +22,7 @@ from .curves import BForm, CurvePoint, INFINITY, WeierstrassCurve, kubert_curve,
 from .errors import (
     DegenerateParameterError,
     EllquotError,
+    InvariantError,
     OffCurveError,
     SingularCurveError,
     TorsionOrderError,
@@ -120,6 +121,7 @@ __all__ = [
     "cyclic_from_fiber",
     "run_battery",
     "EllquotError",
+    "InvariantError",
     "SingularCurveError",
     "DegenerateParameterError",
     "OffCurveError",

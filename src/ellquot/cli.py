@@ -27,7 +27,7 @@ from .families import (
     shanks_cubic,
 )
 from .funcfield import FunctionField
-from .galois import DEFAULT_PRIME_BUDGET, galois_group
+from .galois import DEFAULT_PRIME_BUDGET, check_prime_budget, galois_group
 from .isogeny import velu_quotient
 from .jsonio import (
     certificate_to_json,
@@ -246,6 +246,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    check_prime_budget(args.primes)
     summary = run_battery(seed=args.seed, prime_budget=args.primes, as_printed=args.as_printed)
     print(json.dumps(summary, indent=2))
     for crit in summary["criteria"]:

@@ -33,6 +33,7 @@ from .isogeny import (
     FiberPolynomial,
     IsogenyData,
     fiber_polynomial,
+    has_rational_preimage,
     lift_x,
     push_point,
     velu_quotient,
@@ -450,14 +451,8 @@ def _no_rational_preimage(model: QuotientModel, point: CurvePoint):
                 return False, lifts[0]
         return True, None
     Q = model.model_point_to_velu(point)
-    found, witness = _preimage_on_velu(model.isogeny, Q)
+    found, witness = has_rational_preimage(model.isogeny, Q)
     return not found, witness
-
-
-def _preimage_on_velu(isog: IsogenyData, Q: CurvePoint):
-    from .isogeny import has_rational_preimage
-
-    return has_rational_preimage(isog, Q)
 
 
 def _cyclic_fiber(model: QuotientModel, point: CurvePoint) -> FiberPolynomial | None:

@@ -35,3 +35,9 @@ class ZeroPolynomialError(EllquotError):
     """An operation that needs a nonzero polynomial received zero."""
 
     code = "zero-polynomial"
+
+
+class InvariantError(EllquotError):
+    """An internal invariant failed: a defect in this package, not in the input."""
+
+    code = "internal-invariant"

@@ -364,13 +364,6 @@ def factor_over_Q(f: UniPoly) -> FactorList:
     return FactorList(unit=unit, factors=factors)
 
 
-def is_irreducible(f: UniPoly) -> bool:
-    """Irreducibility over Q for deg >= 1 (constants excluded)."""
-    if f.degree < 1:
-        return False
-    return factor_over_Q(f).is_irreducible
-
-
 # ---------------------------------------------------------------------------
 # Rational roots via p-adic lifting and rational reconstruction
 

@@ -42,7 +42,8 @@ class GaloisReport:
     pattern_histogram: dict = dataclass_field(default_factory=dict)
 
 
-def _check_budget(prime_budget):
+def check_prime_budget(prime_budget):
+    """Reject a prime budget above MAX_PRIME_BUDGET with ValueError."""
     if prime_budget > MAX_PRIME_BUDGET:
         raise ValueError(
             f"prime budget {prime_budget} exceeds the cap of {MAX_PRIME_BUDGET}"
@@ -58,7 +59,7 @@ def frobenius_patterns(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET):
     """
     if f.field != QQ:
         raise ValueError("frobenius_patterns needs rational coefficients")
-    _check_budget(prime_budget)
+    check_prime_budget(prime_budget)
     ints = integer_model(f.coeffs)[1]
     fz = UniPoly(QQ, ints, f.var)
     d = discriminant(fz)
@@ -84,7 +85,7 @@ def galois_group(
     construction_backed: bool = False,
 ) -> GaloisReport:
     """Galois group of a squarefree polynomial of degree 3..6 over Q."""
-    _check_budget(prime_budget)
+    check_prime_budget(prime_budget)
     n = f.degree
     if not 3 <= n <= 6:
         raise ValueError(f"degree must be 3..6, got {n}")

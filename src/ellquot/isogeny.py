@@ -6,8 +6,14 @@ a6 - b2*t - 7w, where t and w are the usual sums over the kernel with the
 
     X(P) = x + sum over kernel representatives of t_T/(x - x_T) + u_T/(x - x_T)^2
 
-assembled into a single reduced fraction with monic denominator, so fiber
-polynomials are canonical.  Everything runs over Q and symbolically over Q(c).
+assembled into a single fraction over the monic denominator
+prod (x - x_T)^e_T, with e_T = 1 at the 2-torsion point and 2 elsewhere, so
+fiber polynomials are canonical.  That fraction is already reduced, so no gcd
+is taken: at a representative T the numerator takes the value u_T (t_T at the
+2-torsion point) times the nonzero product of (x_T - x_R)^e_R over the other
+representatives R, and u_T = g_y(T)^2, t_T = g_x(T) at 2-torsion, are nonzero
+on a nonsingular curve.  velu_quotient checks this nonvanishing at each x_T.
+Everything runs over Q and symbolically over Q(c).
 """
 
 from __future__ import annotations
@@ -15,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .curves import INFINITY, CurvePoint, WeierstrassCurve
-from .errors import DegenerateParameterError, OffCurveError, TorsionOrderError
+from .errors import (
+    DegenerateParameterError,
+    InvariantError,
+    OffCurveError,
+    TorsionOrderError,
+)
 from .fields import QQ, rational_sqrt
 from .poly import UniPoly
 
@@ -49,7 +60,12 @@ class FiberPolynomial:
 def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData:
     """Quotient isogeny of degree l with kernel generated by A.
 
-    A must have exact order l on the curve.
+    A must have exact order l on the curve.  The x-map is reduced without a
+    gcd: den is a product of monic factors (x - x_Q), and num(x_Q) is u_Q
+    (t_Q at the 2-torsion point) times a product of nonzero differences
+    x_Q - x_R, where u_Q = g_y(Q)^2 and the 2-torsion t_Q = g_x(Q) are nonzero
+    on a nonsingular curve.  Each num(x_Q) is evaluated; a zero raises
+    InvariantError.
     """
     if A.inf:
         raise TorsionOrderError("the kernel generator cannot be infinity")
@@ -65,62 +81,48 @@ def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData
     while not acc.inf:
         kernel.append(acc)
         acc = curve.add(acc, A)
-    assert len(kernel) == l - 1
+    if len(kernel) != l - 1:
+        raise InvariantError(f"the kernel of order {l} has {len(kernel) + 1} points")
 
     # one representative per +-pair; the 2-torsion point (l even) stands alone
-    reps = [kernel[i - 1] for i in range(1, (l - 1) // 2 + 1)]
-    two_torsion = [kernel[l // 2 - 1]] if l % 2 == 0 else []
+    reps = [(kernel[i], False) for i in range((l - 1) // 2)]
+    if l % 2 == 0:
+        reps.append((kernel[l // 2 - 1], True))
 
-    def local_sums(Q, is_two_torsion):
+    x = UniPoly.gen(F)
+    t = F.zero
+    w = F.zero
+    terms = []
+    den = UniPoly.one(F)
+    for Q, is_two_torsion in reps:
         gx = 3 * Q.x * Q.x + 2 * a2 * Q.x + a4 - a1 * Q.y
         gy = -2 * Q.y - a1 * Q.x - a3
         tQ = gx if is_two_torsion else 2 * gx - a1 * gy
         uQ = gy * gy
-        return tQ, uQ
-
-    t = F.zero
-    w = F.zero
-    for Q in reps:
-        tQ, uQ = local_sums(Q, False)
         t = t + tQ
         w = w + uQ + Q.x * tQ
-    for Q in two_torsion:
-        tQ, uQ = local_sums(Q, True)
-        t = t + tQ
-        w = w + uQ + Q.x * tQ
+        lin = x - UniPoly.constant(F, Q.x)
+        terms.append((lin, tQ, None if is_two_torsion else uQ))
+        den = den * lin if is_two_torsion else den * lin * lin
 
     codomain = WeierstrassCurve(F, a1, a2, a3, a4 - 5 * t, a6 - b.b2 * t - 7 * w)
 
-    x = UniPoly.gen(F)
-    den = UniPoly.one(F)
-    lin = {}
-    for Q in reps + two_torsion:
-        lin[id(Q)] = x - UniPoly.constant(F, Q.x)
-        den = den * lin[id(Q)]
-        if Q not in two_torsion:
-            den = den * lin[id(Q)]
     num = x * den
-    for Q in reps + two_torsion:
-        is2 = Q in two_torsion
-        tQ, uQ = local_sums(Q, is2)
-        num = num + den.divexact(lin[id(Q)]) * tQ
-        if not is2:
-            num = num + den.divexact(lin[id(Q)] * lin[id(Q)]) * uQ
-
-    g = num.gcd(den)
-    if g.degree > 0:
-        num = num.divexact(g)
-        den = den.divexact(g)
-    if den.lc != F.one:
-        inv = F.one / den.lc
-        num = num * inv
-        den = den * inv
-    assert num.degree == l and den.degree == l - 1
+    for lin, tQ, uQ in terms:
+        cofactor = den.divexact(lin)
+        num = num + cofactor * tQ
+        if uQ is not None:
+            num = num + cofactor.divexact(lin) * uQ
+    if num.degree != l or den.degree != l - 1:
+        raise InvariantError(f"x-map degrees {num.degree}/{den.degree} for l = {l}")
+    for Q, _ in reps:
+        if not num(Q.x):
+            raise InvariantError(f"x-map numerator vanishes at the kernel x = {Q.x}")
 
     return IsogenyData(
         domain=curve,
         codomain=codomain,
-        kernel_x=[Q.x for Q in reps + two_torsion],
+        kernel_x=[Q.x for Q, _ in reps],
         phi_x_num=num,
         phi_x_den=den,
         degree=l,
@@ -148,7 +150,8 @@ def push_point(isog: IsogenyData, P: CurvePoint) -> CurvePoint:
         xs = xs + S.x - Q.x
         ys = ys + S.y - Q.y
     image = CurvePoint.affine(xs, ys)
-    assert isog.codomain.contains(image)
+    if not isog.codomain.contains(image):
+        raise InvariantError(f"the image {image!r} is not on the codomain")
     return image
 
 
@@ -165,7 +168,10 @@ def fiber_polynomial(isog: IsogenyData, xQ) -> FiberPolynomial:
             f"x = {xQ} is not the x-coordinate of a rational point on the codomain"
         )
     poly = isog.phi_x_num - isog.phi_x_den * xQ
-    assert poly.degree == isog.degree
+    if poly.degree != isog.degree:
+        raise InvariantError(
+            f"fiber of degree {poly.degree} under an isogeny of degree {isog.degree}"
+        )
     return FiberPolynomial(poly=poly.monic(), base_point_x=xQ, isogeny=isog)
 
 

@@ -11,6 +11,7 @@ import re
 from fractions import Fraction
 
 from .curves import CurvePoint, WeierstrassCurve
+from .factor import FACTOR_DEGREE_CAP
 from .fields import QQ
 from .funcfield import RatFunc
 from .isogeny import FiberPolynomial, IsogenyData
@@ -81,8 +82,8 @@ def poly_from_ascii(text: str, var: str | None = None) -> UniPoly:
     """Parse the canonical ASCII polynomial form (and tolerant variants).
 
     Accepts terms like '(3/2)*x^2', '-x', '5', 'x^3 - 2*x + 1/3'.  Every term
-    carries at most one sign; an empty text, a dangling sign or a malformed
-    term raises ValueError.
+    carries at most one sign; an empty text, a dangling sign, a malformed
+    term or an exponent above FACTOR_DEGREE_CAP raises ValueError.
     """
     pieces = _signed_terms(text)
     if not pieces[0].strip():
@@ -111,6 +112,11 @@ def poly_from_ascii(text: str, var: str | None = None) -> UniPoly:
             elif m["var"] != seen_var:
                 raise ValueError(f"mixed variables {seen_var!r} and {m['var']!r}")
             k = int(m["pow"]) if m["pow"] else 1
+            if k > FACTOR_DEGREE_CAP:
+                raise ValueError(
+                    f"exponent {k} in term {term!r} of {text!r} exceeds the degree cap"
+                    f" of {FACTOR_DEGREE_CAP}"
+                )
         coeffs[k] = coeffs.get(k, Fraction(0)) + coef
     n = max(coeffs)
     return UniPoly(QQ, [coeffs.get(k, Fraction(0)) for k in range(n + 1)], seen_var or "x")

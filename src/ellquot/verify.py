@@ -324,7 +324,7 @@ def ac11(seed, prime_budget=60):
 
 def run_battery(seed=0, prime_budget=60, as_printed=False):
     """Execute AC-1..AC-12 and return the summary structure."""
-    start = time.time()
+    start = time.perf_counter()
     results = []
     certificates = {}
     steps = [
@@ -346,7 +346,7 @@ def run_battery(seed=0, prime_budget=60, as_printed=False):
         except Exception as exc:  # a crash is a failure, never a silent skip
             passed, detail = False, f"exception: {type(exc).__name__}: {exc}"
         results.append(CriterionResult(name, passed, detail))
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     results.append(
         CriterionResult(
             "AC-12", elapsed < 600.0, f"battery completed in {elapsed:.1f}s (< 600s)"

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from ellquot import cli
 from ellquot.cli import main
 
 
@@ -153,3 +154,13 @@ def test_sweep_rejects_out_of_range_count_and_jobs(capsys, monkeypatch, flags):
     code, out = run_cli(capsys, "sweep", "--l", "5", "--count", "2", *flags)
     assert code == 2
     assert json.loads(out)["status"] == "error"
+
+
+def test_verify_paper_prime_budget_above_the_cap_is_a_domain_error(capsys, monkeypatch):
+    def no_battery(*args, **kwargs):
+        raise AssertionError("the battery was started")
+
+    monkeypatch.setattr(cli, "run_battery", no_battery)
+    code, out = run_cli(capsys, "verify-paper", "--primes", "100000")
+    assert code == 2
+    assert "exceeds the cap" in json.loads(out)["payload"]["message"]

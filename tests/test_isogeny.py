@@ -1,15 +1,24 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from ellquot import (
     CurvePoint,
     DegenerateParameterError,
+    EllquotError,
     FunctionField,
     INFINITY,
     QQ,
     TorsionOrderError,
+    UniPoly,
     factor_over_Q,
     fiber_polynomial,
     has_rational_preimage,
@@ -177,3 +186,101 @@ def test_preimage_of_rational_two_torsion_with_rootless_fiber():
         assert not found
         return
     pytest.skip("no rootless two-torsion fiber among the sampled parameters")
+
+
+# ---------------------------------------------------------------------------
+# Velu x-map: reduced without a gcd; sympy serves only as an oracle here
+
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _kubert_or_skip(l, *params):
+    try:
+        return kubert_curve(l, *params)
+    except EllquotError:
+        assume(False)
+
+
+def _sympy_poly(f):
+    X = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], X)
+
+
+@SETTINGS
+@given(l=st.sampled_from([3, 4, 5, 6]), p=rationals, q=rationals)
+def test_velu_denominator_vanishes_exactly_on_the_kernel(l, p, q):
+    curve, A = _kubert_or_skip(l, p, q) if l == 3 else _kubert_or_skip(l, p)
+    isog = velu_quotient(curve, A, l)
+    den = _sympy_poly(isog.phi_x_den)
+    assert isog.phi_x_den.degree == l - 1 and isog.phi_x_den.lc == 1
+    roots = sympy.roots(den)
+    kernel_x = {curve.scalar_mul(i, A).x for i in range(1, l)}
+    assert set(roots) == {sympy.Rational(v.numerator, v.denominator) for v in kernel_x}
+    assert sum(roots.values()) == l - 1
+    assert sympy.gcd(_sympy_poly(isog.phi_x_num), den) == 1
+
+
+@pytest.fixture(scope="module")
+def symbolic_quotients():
+    Fc = FunctionField("c")
+    return {l: velu_quotient(*kubert_curve(l, Fc.gen), l) for l in (4, 5, 6)}
+
+
+@SETTINGS
+@given(l=st.sampled_from([4, 5, 6]), c0=rationals)
+def test_symbolic_quotient_specialises_to_the_rational_one(symbolic_quotients, l, c0):
+    curve, A = _kubert_or_skip(l, c0)
+    want = velu_quotient(curve, A, l)
+    got = symbolic_quotients[l]
+
+    def at_c0(f):
+        return UniPoly(QQ, [a.evaluate(c0) for a in f.coeffs])
+
+    assert at_c0(got.phi_x_num) == want.phi_x_num
+    assert at_c0(got.phi_x_den) == want.phi_x_den
+    codomain = tuple(a.evaluate(c0) for a in got.codomain.a_invariants())
+    assert codomain == want.codomain.a_invariants()
+
+
+def test_velu_takes_no_gcd_over_the_curve_field(monkeypatch):
+    fields = []
+    gcd = UniPoly.gcd
+
+    def spy(self, other):
+        fields.append(self.field)
+        return gcd(self, other)
+
+    Fc = FunctionField("c")
+    rational = [(kubert_curve(l, Fraction(2)), l) for l in (5, 6)]
+    symbolic = kubert_curve(4, Fc.gen)
+    monkeypatch.setattr(UniPoly, "gcd", spy)
+    for (curve, A), l in rational:
+        velu_quotient(curve, A, l)
+    assert fields == []
+    # over Q(c) the coefficient arithmetic reduces fractions in Q[c], never in Q(c)[x]
+    velu_quotient(*symbolic, 4)
+    assert fields and Fc not in fields
+
+
+def test_vanishing_numerator_raises_invariant_error_under_optimisation():
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from ellquot import InvariantError, UniPoly, kubert_curve, velu_quotient
+
+        curve, A = kubert_curve(5, Fraction(2))
+        UniPoly.__call__ = lambda self, x: self.field.zero
+        try:
+            velu_quotient(curve, A, 5)
+        except InvariantError as exc:
+            print(exc.code, exc)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("internal-invariant x-map numerator vanishes")

@@ -13,6 +13,7 @@ from ellquot import (
     shanks_cubic,
     velu_quotient,
 )
+from ellquot import jsonio
 from ellquot.jsonio import (
     certificate_to_json,
     curve_from_json,
@@ -76,6 +77,18 @@ def test_poly_ascii_rejects_missing_terms(text):
 def test_poly_ascii_names_the_malformed_term():
     with pytest.raises(ValueError, match=r"term '\(1/-2\)\*x'"):
         poly_from_ascii("(1/-2)*x")
+
+
+def test_poly_ascii_rejects_an_exponent_above_the_cap(monkeypatch):
+    assert poly_from_ascii("x^16 + 1").degree == 16
+
+    def no_poly(*args, **kwargs):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(jsonio, "UniPoly", no_poly)
+    for k in (17, 100000):
+        with pytest.raises(ValueError, match=rf"exponent {k} in term 'x\^{k}'"):
+            poly_from_ascii(f"1 + x^{k}")
 
 
 def test_curve_point_round_trip():
