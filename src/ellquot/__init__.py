@@ -55,9 +55,9 @@ from .isogeny import (
     push_point,
     velu_quotient,
 )
-from .multipoly import MultiPoly, MultiPolyRing, identity_check
+from .multipoly import MultiPoly, MultiPolyRing
 from .poly import UniPoly, discriminant, prem, resultant
-from .verify import run_battery
+from .verify import draw_input, run_battery
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "RatFunc",
     "MultiPoly",
     "MultiPolyRing",
-    "identity_check",
     "UniPoly",
     "resultant",
     "discriminant",
@@ -120,6 +119,7 @@ __all__ = [
     "frobenius_patterns",
     "cyclic_from_fiber",
     "run_battery",
+    "draw_input",
     "EllquotError",
     "InvariantError",
     "SingularCurveError",

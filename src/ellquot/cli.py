@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from .jsonio import (
     point_to_json,
     poly_from_ascii,
 )
-from .verify import run_battery
+from .verify import draw_input, run_battery
 
 FAMILIES = {
     "pncl5": (p_ncl5, ("n", "c")),
@@ -218,11 +219,8 @@ def cmd_polyfam(args) -> int:
 
 def _sweep_one(task):
     l, seed, index, as_printed = task
-    from .verify import _draw_input
-    import random
-
     rng = random.Random(f"{seed}-sweep-{l}-{index}")
-    cert = certify(_draw_input(l, rng, as_printed=as_printed))
+    cert = certify(draw_input(l, rng, as_printed=as_printed))
     return index, certificate_to_json(cert)
 
 

@@ -27,18 +27,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurvePoint, WeierstrassCurve, kubert_curve
-from .errors import DegenerateParameterError, OffCurveError, SingularCurveError
+from .errors import (
+    DegenerateParameterError,
+    InvariantError,
+    OffCurveError,
+    SingularCurveError,
+)
 from .fields import QQ, rational_sqrt
 from .isogeny import (
     FiberPolynomial,
     IsogenyData,
-    fiber_polynomial,
     has_rational_preimage,
     lift_x,
-    push_point,
     velu_quotient,
 )
-from .multipoly import MultiPoly, identity_check
+from .multipoly import MultiPoly
 
 
 def g5(c):
@@ -101,9 +104,6 @@ class QuotientModel:
     scale: object
     shift: object
     twisted: bool
-
-    def to_model_x(self, x_velu):
-        return self.scale * x_velu + self.shift
 
     def from_model_x(self, x_model):
         return (x_model - self.shift) / self.scale
@@ -247,10 +247,11 @@ def construct_l6(v0, z):
     x = (19 * c * c + 14 * c - 1 + v0 * v0 * (9 * c + 1) ** 2) / 4
     fx = 4 * x ** 3 + alpha * x * x + beta2 * x + gamma2
     yb = rational_sqrt(fx)
-    assert yb is not None, "f(x_{c,6}) must be a rational square by construction"
-    if v0 * v0 == 1 and z * z != 144:
-        # cross-check of the second factor for the v0 = +-1 family
-        assert c * (9 * c + 4) == (16 * z / (z * z - 144)) ** 2
+    if yb is None:
+        raise InvariantError(f"f(x_{{c,6}}) = {fx} is not a rational square at c = {c}")
+    # cross-check of the second factor for the v0 = +-1 family
+    if v0 * v0 == 1 and z * z != 144 and c * (9 * c + 4) != (16 * z / (z * z - 144)) ** 2:
+        raise InvariantError(f"c(9c+4) is not (16z/(z^2-144))^2 at c = {c}, z = {z}")
     return c, x, yb
 
 
@@ -274,7 +275,7 @@ def verify_defining_identity(l: int) -> bool:
             + u0 * u0 * (4 * u0 + 1)
         )
         G = c * c - 11 * c - 1
-        return identity_check(lhs, A * G * G, "exact")
+        return lhs == A * G * G
     if l == 3:
         vars_ = ("a1", "a3", "u1")
         a1, a3, u1 = MultiPoly.gens(vars_)
@@ -289,7 +290,7 @@ def verify_defining_identity(l: int) -> bool:
         )
         A = 4 * u1 ** 3 * a3 + (u1 * a1 + 1) ** 2
         rhs = A * (u1 ** 3 * a3 - u1 * a1 - 2) ** 2
-        return identity_check(lhs, rhs, "exact")
+        return lhs == rhs
     if l == 6:
         vars_ = ("c", "v0")
         c, v0 = MultiPoly.gens(vars_)
@@ -304,14 +305,14 @@ def verify_defining_identity(l: int) -> bool:
             + (v0 * v0 - 1) ** 2
         )
         rhs = A * v0 * v0 * (9 * c + 1) ** 4
-        return identity_check(lhs, rhs, "exact")
+        return lhs == rhs
     if l == 4:
         vars_ = ("c", "u")
         c, u = MultiPoly.gens(vars_)
         x = u * u - c
         lhs = (x + c) * (4 * x * x + x + c)
         rhs = u * u * (4 * c * c - 8 * u * u * c + u * u * (4 * u * u + 1))
-        return identity_check(lhs, rhs, "exact")
+        return lhs == rhs
     raise ValueError(f"no defining identity for l={l}")
 
 
@@ -396,7 +397,7 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
             excluded_reason=f"singular or undefined curve: {exc}",
         )
     F = model.curve
-    _assert_model_matches_table(inp.l, params, F)
+    _check_model_matches_table(inp.l, params, F)
     try:
         point = F.from_b_point(x, yb)
     except OffCurveError:
@@ -407,10 +408,9 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
                 + (" (printed row-1 formula contradicts A_5(c) = z^2)" if inp.as_printed else "")
             ),
         )
-    on_curve = F.contains(point)
     if yb == 0:
         return NontrivialPointCertificate(
-            inp.l, params, F, point, (x, yb), on_curve, False, False, None,
+            inp.l, params, F, point, (x, yb), True, False, False, None,
             excluded_reason="torsion point (y=0)",
         )
     infinite = F.is_infinite_order(point)
@@ -422,30 +422,29 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
     elif not infinite:
         reason = "torsion point"
     return NontrivialPointCertificate(
-        inp.l, params, F, point, (x, yb), on_curve, infinite, nontrivial, fiber,
+        inp.l, params, F, point, (x, yb), True, infinite, nontrivial, fiber,
         excluded_reason=reason, witness=witness,
     )
 
 
-def _assert_model_matches_table(l, params, F: WeierstrassCurve):
+def _check_model_matches_table(l, params, F: WeierstrassCurve):
     b = F.b_form()
     if l == 3:
         want = quotient_cubic_l3(params["a1"], params["a3"])
     else:
         want = quotient_cubic(l, params["c"])
     got = (b.b2, 2 * b.b4, b.b6)
-    assert got == tuple(F.field(w) for w in want), f"model drifted from table: {got}"
+    if got != tuple(F.field(w) for w in want):
+        raise InvariantError(f"model drifted from table: {got}")
 
 
 def _no_rational_preimage(model: QuotientModel, point: CurvePoint):
     """(nontrivial, witness): exact preimage decision in the model coordinates."""
     from .factor import rational_roots
 
-    xb, yb = model.curve.b_point(point)
-    x_velu = model.from_model_x(xb)
     if model.twisted:
-        fiber = model.isogeny.phi_x_num - model.isogeny.phi_x_den * x_velu
-        for x0 in sorted(set(rational_roots(fiber.monic()))):
+        fiber = model.isogeny.fiber(model.from_model_x(point.x))
+        for x0 in sorted(set(rational_roots(fiber))):
             lifts = lift_x(model.domain, x0)
             if lifts:
                 return False, lifts[0]
@@ -465,22 +464,22 @@ def _cyclic_fiber(model: QuotientModel, point: CurvePoint) -> FiberPolynomial | 
     point + T, where T is the rational 2-torsion point of the model.
     """
     F = model.curve
-    xb, yb = F.b_point(point)
     if model.l in (3, 5):
-        base = xb
+        base = point.x
     else:
         xT = _rational_two_torsion_x(model)
         T = F.from_b_point(xT, F.field.zero)
         shifted = F.add(point, T)
         if shifted.inf:
             return None
-        base = F.b_point(shifted)[0]
+        base = shifted.x
     x_velu = model.from_model_x(base)
-    if model.twisted:
-        poly = model.isogeny.phi_x_num - model.isogeny.phi_x_den * x_velu
-        assert poly.degree == model.l
-        return FiberPolynomial(poly=poly.monic(), base_point_x=base, isogeny=model.isogeny)
-    return fiber_polynomial(model.isogeny, x_velu)
+    # base_point_x is in the model chart for the twisted l = 4, else the Velu one
+    return FiberPolynomial(
+        poly=model.isogeny.fiber(x_velu),
+        base_point_x=base if model.twisted else x_velu,
+        isogeny=model.isogeny,
+    )
 
 
 def _rational_two_torsion_x(model: QuotientModel):

@@ -56,10 +56,6 @@ class BForm:
     b6: object
     b8: object
 
-    def cubic_coeffs(self):
-        """(b6, 2*b4, b2, 4): the right-hand cubic, lowest degree first."""
-        return (self.b6, self.b4 + self.b4, self.b2, 4)
-
 
 class WeierstrassCurve:
     """Nonsingular long Weierstrass model over a field."""
@@ -140,9 +136,6 @@ class WeierstrassCurve:
         x3 = lam * lam + a1 * lam - a2 - x1 - x2
         y3 = lam * (x1 - x3) - y1 - a1 * x3 - a3
         return CurvePoint.affine(x3, y3)
-
-    def sub(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        return self.add(P, self.neg(Q))
 
     def scalar_mul(self, k: int, P: CurvePoint) -> CurvePoint:
         """k*P by double-and-add."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .fields import QQ
 from .funcfield import FunctionField
-from .multipoly import MultiPoly, MultiPolyRing, identity_check
+from .multipoly import MultiPoly, MultiPolyRing
 from .poly import UniPoly, resultant
 
 
@@ -152,7 +152,7 @@ def check_brumer_substitution(s=None, u=None) -> bool:
         rhs = MultiPoly(vars_)
         for k, b in enumerate(bcoeffs):
             rhs = rhs + sv ** 4 * b * xv ** k
-        return identity_check(lhs, rhs, "exact")
+        return lhs == rhs
     s = Fraction(s)
     u = Fraction(u)
     if s == 0:
@@ -200,7 +200,7 @@ def check_darmon_transform(S=None, T=None) -> bool:
         rhs = MultiPoly(vars_)
         for k, d in enumerate(dcoeffs):
             rhs = rhs + d * xv ** k
-        return identity_check(lhs, rhs, "exact")
+        return lhs == rhs
     S = Fraction(S)
     T = Fraction(T)
     B = brumer(S + 3, T + 2 * S + 5).poly
@@ -215,7 +215,7 @@ def check_shanks_reproduction(t=None) -> bool:
         tv, xv = MultiPoly.gens(vars_)
         lhs = xv ** 3 + (-tv) * xv * xv - (tv + 3) * xv + MultiPoly.constant(vars_, -1)
         rhs = xv ** 3 - tv * xv * xv - (tv + 3) * xv + MultiPoly.constant(vars_, -1)
-        return identity_check(lhs, rhs, "exact")
+        return lhs == rhs
     t = Fraction(t)
     return ptilde_cubic(-t, -1, t + 3).poly.coeffs == shanks_cubic(t).poly.coeffs
 

@@ -44,7 +44,6 @@ class RationalField:
     name = "Q"
     zero = Fraction(0)
     one = Fraction(1)
-    characteristic = 0
 
     def __call__(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -55,9 +54,6 @@ class RationalField:
 
     def divexact(self, a, b):
         return a / b
-
-    def __contains__(self, value):
-        return isinstance(value, Fraction)
 
     def __repr__(self):
         return "Q"
@@ -192,13 +188,10 @@ def is_probable_prime(n: int) -> bool:
 class PrimeField:
     """The field GF(p) for an odd or even prime p."""
 
-    characteristic: int
-
     def __init__(self, p: int):
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.characteristic = p
         self.zero = FpElement(0, p)
         self.one = FpElement(1, p)
         self.name = f"GF({p})"

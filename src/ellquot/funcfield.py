@@ -44,11 +44,6 @@ class RatFunc:
     def is_polynomial(self):
         return self.den.degree == 0
 
-    def as_unipoly(self) -> UniPoly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self!r} is not polynomial")
-        return self.num
-
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
@@ -138,8 +133,6 @@ class RatFunc:
 class FunctionField:
     """The field of rational functions base(var)."""
 
-    characteristic = 0
-
     def __init__(self, var: str, base=QQ):
         self.var = var
         self.base = base
@@ -148,13 +141,6 @@ class FunctionField:
         self.one = RatFunc(one_poly, one_poly)
         self.gen = RatFunc(UniPoly.gen(base, var), one_poly)
         self.name = f"{getattr(base, 'name', base)}({var})"
-
-    def poly(self, coeffs) -> RatFunc:
-        """The polynomial in the field variable with the given coefficients."""
-        return RatFunc(
-            UniPoly(self.base, [self.base(c) for c in coeffs], self.var),
-            UniPoly.one(self.base, self.var),
-        )
 
     def __call__(self, value) -> RatFunc:
         if isinstance(value, RatFunc):

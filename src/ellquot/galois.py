@@ -1,16 +1,16 @@
 """Galois group determination for degrees 3 to 6 with honest certainty labels.
 
 Degree 3 and 4 verdicts are exact (discriminant, resolvent cubic and the
-quadratic splitting criteria).  Degrees 5 and 6 combine Frobenius pattern
-sampling with the construction-backed equivalence: a cyclic label is exact
-only when the polynomial arises as the fiber below a certified non-trivial
-quotient-curve point, otherwise the label is the smallest group consistent
-with the samples and is reported as sampled evidence.
+quadratic splitting criteria).  Degree 5 and 6 labels come from Frobenius
+pattern sampling: the smallest group consistent with the samples, reported
+as sampled evidence.  cyclic_from_fiber alone reports C5 and C6 as exact,
+because the polynomial is then the fiber below a certified non-trivial
+quotient-curve point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from .factor import factor_mod_p, factor_over_Q, primes, rational_roots
@@ -42,29 +42,30 @@ class GaloisReport:
     pattern_histogram: dict = dataclass_field(default_factory=dict)
 
 
-def check_prime_budget(prime_budget):
-    """Reject a prime budget above MAX_PRIME_BUDGET with ValueError."""
+def check_prime_budget(prime_budget, minimum=1):
+    """Reject a prime budget outside [minimum, MAX_PRIME_BUDGET] with ValueError."""
+    if prime_budget < minimum:
+        raise ValueError(f"prime budget {prime_budget} is below the minimum of {minimum}")
     if prime_budget > MAX_PRIME_BUDGET:
         raise ValueError(
             f"prime budget {prime_budget} exceeds the cap of {MAX_PRIME_BUDGET}"
         )
 
 
-def frobenius_patterns(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET):
-    """Histogram of factor-degree multisets of f mod p over good primes.
+def _sample(f: UniPoly, prime_budget):
+    """(unit, disc f_Z, histogram) for f = unit * f_Z, f_Z primitive in Z[x].
 
-    Uses the first prime_budget primes dividing neither the leading
-    coefficient nor the discriminant of the primitive integer model;
-    prime_budget may not exceed MAX_PRIME_BUDGET.
+    The discriminant of the integer model is computed once: it decides
+    squarefreeness (disc f_Z != 0), gives disc f = unit^(2n-2) * disc f_Z,
+    and names the bad primes skipped by the sampling.
     """
     if f.field != QQ:
-        raise ValueError("frobenius_patterns needs rational coefficients")
-    check_prime_budget(prime_budget)
-    ints = integer_model(f.coeffs)[1]
+        raise ValueError("Galois sampling needs rational coefficients")
+    unit, ints = integer_model(f.coeffs)
     fz = UniPoly(QQ, ints, f.var)
     d = discriminant(fz)
     if d == 0:
-        raise ValueError("frobenius_patterns needs a squarefree polynomial")
+        raise ValueError("polynomial must be squarefree")
     bad = ints[-1] * abs(d.numerator)
     histogram = {}
     used = 0
@@ -76,31 +77,33 @@ def frobenius_patterns(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET):
         pattern = factor_mod_p(fz, p).degrees()
         histogram[pattern] = histogram.get(pattern, 0) + 1
         used += 1
-    return histogram
+    return unit, d, histogram
 
 
-def galois_group(
-    f: UniPoly,
-    prime_budget: int = DEFAULT_PRIME_BUDGET,
-    construction_backed: bool = False,
-) -> GaloisReport:
-    """Galois group of a squarefree polynomial of degree 3..6 over Q."""
+def frobenius_patterns(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET):
+    """Histogram of factor-degree multisets of f mod p over good primes.
+
+    Uses the first prime_budget primes dividing neither the leading
+    coefficient nor the discriminant of the primitive integer model;
+    prime_budget must lie between 1 and MAX_PRIME_BUDGET.
+    """
     check_prime_budget(prime_budget)
+    return _sample(f, prime_budget)[2]
+
+
+def galois_group(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> GaloisReport:
+    """Galois group of a squarefree polynomial of degree 3..6 over Q.
+
+    prime_budget must lie between MIN_PRIME_BUDGET and MAX_PRIME_BUDGET.
+    """
+    check_prime_budget(prime_budget, MIN_PRIME_BUDGET)
     n = f.degree
     if not 3 <= n <= 6:
         raise ValueError(f"degree must be 3..6, got {n}")
-    if f.gcd(f.derivative()).degree > 0:
-        raise ValueError("polynomial must be squarefree")
-    budget = max(int(prime_budget), MIN_PRIME_BUDGET)
-
-    fl = factor_over_Q(f)
-    irreducible = fl.is_irreducible
-    disc = discriminant(f)
+    unit, disc_z, histogram = _sample(f, prime_budget)
+    disc = unit ** (2 * n - 2) * disc_z
+    irreducible = factor_over_Q(f).is_irreducible
     square = is_square(disc)
-    histogram = frobenius_patterns(f, budget)
-    used = sum(histogram.values())
-    if used < MIN_PRIME_BUDGET:
-        raise ValueError(f"only {used} usable primes found")
 
     if not irreducible:
         label, certainty = "other", "exact"
@@ -109,9 +112,9 @@ def galois_group(
     elif n == 4:
         label, certainty = _quartic_group(f.monic(), disc, square), "exact"
     elif n == 5:
-        label, certainty = _quintic_group(histogram, square, construction_backed)
+        label, certainty = _quintic_group(histogram, square)
     else:
-        label, certainty = _sextic_group(histogram, construction_backed)
+        label, certainty = _sextic_group(histogram)
     return GaloisReport(
         degree=n,
         irreducible=irreducible,
@@ -119,7 +122,7 @@ def galois_group(
         disc_is_square=square,
         group_label=label,
         certainty=certainty,
-        primes_used=used,
+        primes_used=sum(histogram.values()),
         pattern_histogram=histogram,
     )
 
@@ -148,13 +151,13 @@ def _quartic_group(f: UniPoly, disc, square: bool) -> str:
     return "D4"
 
 
-def _quintic_group(histogram, square: bool, backed: bool):
+def _quintic_group(histogram, square: bool):
     """Transitive subgroup of S5 consistent with the sampled patterns."""
     seen = set(histogram)
     cyclic = CYCLIC_PATTERNS[5]
     if square:
         if seen <= cyclic:
-            return ("C5", "exact") if backed else ("C5", "sampled")
+            return "C5", "sampled"
         if any(3 in pat for pat in seen):
             return "A5", "sampled"
         return "D5", "sampled"
@@ -165,11 +168,11 @@ def _quintic_group(histogram, square: bool, backed: bool):
     return "F20", "sampled"
 
 
-def _sextic_group(histogram, backed: bool):
+def _sextic_group(histogram):
     seen = set(histogram)
     cyclic = CYCLIC_PATTERNS[6]
     if seen <= cyclic and (6,) in seen:
-        return ("C6", "exact") if backed else ("C6", "sampled")
+        return "C6", "sampled"
     return "other", "sampled"
 
 
@@ -195,7 +198,10 @@ def cyclic_from_fiber(inp, prime_budget: int = DEFAULT_PRIME_BUDGET):
             f"certificate is not valid ({cert.excluded_reason or 'checks failed'})"
         )
     fiber = cert.fiber.poly
-    report = galois_group(fiber, prime_budget, construction_backed=True)
+    report = galois_group(fiber, prime_budget)
+    if report.group_label in ("C5", "C6"):
+        # the valid certificate proves the cyclic group the samples suggest
+        report = replace(report, certainty="exact")
     fam = FamilyPolynomial(
         family="fiber",
         parameters=dict(cert.params),

@@ -47,6 +47,18 @@ class IsogenyData:
         """Evaluate the x-coordinate map at a field element off the kernel."""
         return self.phi_x_num(x) / self.phi_x_den(x)
 
+    def fiber(self, x) -> UniPoly:
+        """Monic phi_x_num - x * phi_x_den: its roots are the x-coordinates mapping to x.
+
+        The caller vouches for x; fiber_polynomial is the checked entry point.
+        """
+        poly = self.phi_x_num - self.phi_x_den * self.domain.field(x)
+        if poly.degree != self.degree:
+            raise InvariantError(
+                f"fiber of degree {poly.degree} under an isogeny of degree {self.degree}"
+            )
+        return poly.monic()
+
 
 @dataclass
 class FiberPolynomial:
@@ -60,7 +72,8 @@ class FiberPolynomial:
 def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData:
     """Quotient isogeny of degree l with kernel generated by A.
 
-    A must have exact order l on the curve.  The x-map is reduced without a
+    A must have exact order l on the curve: the walk over its multiples that
+    collects the kernel is also the order check.  The x-map is reduced without a
     gcd: den is a product of monic factors (x - x_Q), and num(x_Q) is u_Q
     (t_Q at the 2-torsion point) times a product of nonzero differences
     x_Q - x_R, where u_Q = g_y(Q)^2 and the 2-torsion t_Q = g_x(Q) are nonzero
@@ -69,20 +82,17 @@ def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData
     """
     if A.inf:
         raise TorsionOrderError("the kernel generator cannot be infinity")
-    order = curve.order_of_point(A, max(16, l))
-    if order != l:
+    kernel = []
+    acc = A
+    while not acc.inf and len(kernel) < l:
+        kernel.append(acc)
+        acc = curve.add(acc, A)
+    if len(kernel) != l - 1:
+        order = len(kernel) + 1 if acc.inf else f"above {l}"
         raise TorsionOrderError(f"kernel generator has order {order}, expected {l}")
     F = curve.field
     a1, a2, a3, a4, a6 = curve.a_invariants()
     b = curve.b_form()
-
-    kernel = []
-    acc = A
-    while not acc.inf:
-        kernel.append(acc)
-        acc = curve.add(acc, A)
-    if len(kernel) != l - 1:
-        raise InvariantError(f"the kernel of order {l} has {len(kernel) + 1} points")
 
     # one representative per +-pair; the 2-torsion point (l even) stands alone
     reps = [(kernel[i], False) for i in range((l - 1) // 2)]
@@ -167,12 +177,7 @@ def fiber_polynomial(isog: IsogenyData, xQ) -> FiberPolynomial:
         raise DegenerateParameterError(
             f"x = {xQ} is not the x-coordinate of a rational point on the codomain"
         )
-    poly = isog.phi_x_num - isog.phi_x_den * xQ
-    if poly.degree != isog.degree:
-        raise InvariantError(
-            f"fiber of degree {poly.degree} under an isogeny of degree {isog.degree}"
-        )
-    return FiberPolynomial(poly=poly.monic(), base_point_x=xQ, isogeny=isog)
+    return FiberPolynomial(poly=isog.fiber(xQ), base_point_x=xQ, isogeny=isog)
 
 
 def _y_discriminant(curve: WeierstrassCurve, x):
@@ -207,8 +212,7 @@ def has_rational_preimage(isog: IsogenyData, Q: CurvePoint):
         raise ValueError("the preimage test needs an affine point")
     if not isog.codomain.contains(Q):
         raise OffCurveError(f"{Q!r} is not on the isogeny codomain")
-    fiber = fiber_polynomial(isog, Q.x)
-    for x0 in sorted(set(rational_roots(fiber.poly))):
+    for x0 in sorted(set(rational_roots(isog.fiber(Q.x)))):
         for P in lift_x(isog.domain, x0):
             if push_point(isog, P) == Q:
                 return True, P

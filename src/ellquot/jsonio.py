@@ -111,12 +111,14 @@ def poly_from_ascii(text: str, var: str | None = None) -> UniPoly:
                 seen_var = m["var"]
             elif m["var"] != seen_var:
                 raise ValueError(f"mixed variables {seen_var!r} and {m['var']!r}")
-            k = int(m["pow"]) if m["pow"] else 1
-            if k > FACTOR_DEGREE_CAP:
+            digits = (m["pow"] or "1").lstrip("0") or "0"
+            # the digit count is checked first: int() refuses very long strings
+            if len(digits) > len(str(FACTOR_DEGREE_CAP)) or int(digits) > FACTOR_DEGREE_CAP:
                 raise ValueError(
-                    f"exponent {k} in term {term!r} of {text!r} exceeds the degree cap"
+                    f"exponent {digits} in term {term!r} of {text!r} exceeds the degree cap"
                     f" of {FACTOR_DEGREE_CAP}"
                 )
+            k = int(digits)
         coeffs[k] = coeffs.get(k, Fraction(0)) + coef
     n = max(coeffs)
     return UniPoly(QQ, [coeffs.get(k, Fraction(0)) for k in range(n + 1)], seen_var or "x")

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over Q with exact identity checking.
+"""Sparse multivariate polynomials over Q; == is the exact identity check.
 
 Terms map exponent vectors to nonzero rational coefficients.  The canonical
 term order is graded lexicographic over the declared variable order; it fixes
@@ -7,7 +7,6 @@ leading terms for exact division and serialization.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .errors import ZeroPolynomialError
@@ -53,11 +52,6 @@ class MultiPoly:
     @property
     def is_zero(self):
         return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
@@ -230,30 +224,3 @@ class MultiPolyRing:
     def __hash__(self):
         return hash(("MultiPolyRing", self.vars))
 
-
-def identity_check(lhs: MultiPoly, rhs: MultiPoly, mode: str = "exact", seed=None) -> bool:
-    """Decide lhs == rhs, exactly or by seeded rational sampling.
-
-    Sampled mode draws numerators and denominators uniformly from [1, 10^4]
-    and evaluates at (1 + total degree) points; it is a fast pre-check only,
-    never the acceptance verdict.
-    """
-    if lhs.vars != rhs.vars:
-        raise ValueError("identity_check requires the same variable set")
-    if mode == "exact":
-        return lhs.terms == rhs.terms
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
-    diff = lhs - rhs
-    if diff.is_zero:
-        return True
-    points = 1 + max(lhs.total_degree(), rhs.total_degree(), 0)
-    for _ in range(points):
-        assignment = {
-            v: Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4))
-            for v in lhs.vars
-        }
-        if lhs.evaluate(assignment) != rhs.evaluate(assignment):
-            return False
-    return True

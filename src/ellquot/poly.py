@@ -237,10 +237,6 @@ class UniPoly:
             return self if k >= 0 else self._wrap(())
         return self._wrap((self.field.zero,) * k + self.coeffs)
 
-    def reverse(self) -> "UniPoly":
-        """x^deg * f(1/x)."""
-        return self._wrap(tuple(reversed(self.coeffs)))
-
     def __repr__(self):
         if self.is_zero:
             return "0"

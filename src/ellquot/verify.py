@@ -86,8 +86,12 @@ def ac4():
     return all(results.values()), f"exact multivariate identities f = A*G^2: {results}"
 
 
-def _draw_input(l, rng, as_printed=False):
-    """One admissible parameter tuple (exact precondition violations resampled)."""
+def draw_input(l, rng, as_printed=False):
+    """One admissible ConstructionInput for level l, drawn from the seeded rng.
+
+    Draws that violate an exact precondition are resampled.  AC-5 and
+    `ellquot sweep` both draw through this function.
+    """
     while True:
         if l == 3:
             p = {
@@ -170,7 +174,7 @@ def ac5(seed, as_printed=False, certificates_out=None):
         degenerate = []
         invalid_unexplained = 0
         for _ in range(50):
-            inp = _draw_input(l, rng, as_printed=as_printed)
+            inp = draw_input(l, rng, as_printed=as_printed)
             cert = certify(inp)
             if certificates_out is not None and cert.valid:
                 certificates_out.setdefault(l, []).append(cert)

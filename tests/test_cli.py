@@ -142,6 +142,13 @@ def test_galois_prime_budget_above_the_cap_is_a_domain_error(capsys):
     assert "exceeds the cap" in json.loads(out)["payload"]["message"]
 
 
+@pytest.mark.parametrize("budget", ["5", "0", "-5"])
+def test_galois_prime_budget_below_the_minimum_is_a_domain_error(capsys, budget):
+    code, out = run_cli(capsys, "galois", "--poly", "x^3 - 2", "--primes", budget)
+    assert code == 2
+    assert "below the minimum of 20" in json.loads(out)["payload"]["message"]
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--count", "-1"), ("--jobs", "0"), ("--jobs", str((os.cpu_count() or 1) + 1))],
@@ -164,3 +171,7 @@ def test_verify_paper_prime_budget_above_the_cap_is_a_domain_error(capsys, monke
     code, out = run_cli(capsys, "verify-paper", "--primes", "100000")
     assert code == 2
     assert "exceeds the cap" in json.loads(out)["payload"]["message"]
+    for budget in ("0", "-5"):
+        code, out = run_cli(capsys, "verify-paper", "--primes", budget)
+        assert code == 2
+        assert "below the minimum of 1" in json.loads(out)["payload"]["message"]

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -126,7 +131,7 @@ def test_defining_identities_exact():
 
 
 def test_perturbed_identity_fails():
-    from ellquot.multipoly import MultiPoly, identity_check
+    from ellquot.multipoly import MultiPoly
 
     vars_ = ("c", "u0")
     c, u0 = MultiPoly.gens(vars_)
@@ -142,7 +147,7 @@ def test_perturbed_identity_fails():
         + 1
     )
     G = c * c - 11 * c - 1
-    assert not identity_check(lhs, A_perturbed * G * G, "exact")
+    assert lhs != A_perturbed * G * G
 
 
 def test_quotient_model_tables_symbolic():
@@ -206,13 +211,13 @@ class TestCertify:
 
 
 def test_random_sweep_statistics():
-    from ellquot.verify import _draw_input
+    from ellquot import draw_input
 
     rng = random.Random(77)
     for l, expect_valid in ((4, True), (5, True), (6, True)):
         valid = degenerate = 0
         for _ in range(15):
-            cert = certify(_draw_input(l, rng))
+            cert = certify(draw_input(l, rng))
             if cert.valid:
                 valid += 1
             else:
@@ -221,9 +226,31 @@ def test_random_sweep_statistics():
 
 
 def test_l3_sweep_all_trivial():
-    from ellquot.verify import _draw_input
+    from ellquot import draw_input
 
     rng = random.Random(78)
     for _ in range(10):
-        cert = certify(_draw_input(3, rng))
+        cert = certify(draw_input(3, rng))
         assert not cert.valid
+
+
+def test_construction_invariants_raise_under_optimisation():
+    # certify checks the model against the published table; the check must
+    # survive python -O, which strips asserts
+    script = textwrap.dedent(
+        """
+        from ellquot import ConstructionInput, InvariantError, certify, constructions
+
+        constructions.quotient_cubic = lambda l, c: (c, c, c)
+        try:
+            certify(ConstructionInput(5, row=1, params={"z": 2}))
+        except InvariantError as exc:
+            print(exc.code, exc)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("internal-invariant model drifted from table")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ellquot import (
     CurvePoint,
@@ -96,6 +97,41 @@ def test_group_law_associativity():
         right = curve.add(P, curve.add(Q, R))
         assert left == right
         checked += 1
+
+
+def _kubert_through(l, x0, y0, a1):
+    """The level-l Kubert curve through (x0, y0), with its order-l point A.
+
+    Each family is linear in its parameter at a fixed point, which solves it.
+    """
+    if l == 3:
+        return kubert_curve(3, a1, (x0 ** 3 - y0 * y0 - a1 * x0 * y0) / y0)
+    if l == 4:
+        return kubert_curve(4, (x0 ** 3 - y0 * y0 - x0 * y0) / (x0 * x0 - y0))
+    return kubert_curve(5, (y0 * y0 + x0 * y0 - x0 ** 3) / (x0 * y0 + y0 - x0 * x0))
+
+
+small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    l=st.sampled_from([3, 4, 5]),
+    x0=small,
+    y0=small.filter(bool),
+    a1=small,
+    coords=st.lists(st.tuples(st.integers(0, 4), st.integers(-2, 2)), min_size=3, max_size=3),
+)
+def test_group_law_associative_with_a_point_of_infinite_order(l, x0, y0, a1, coords):
+    try:
+        curve, A = _kubert_through(l, x0, y0, a1)
+    except (ZeroDivisionError, SingularCurveError, DegenerateParameterError, TorsionOrderError):
+        assume(False)
+    P0 = CurvePoint.affine(x0, y0)
+    assume(curve.is_infinite_order(P0))
+    P, Q, R = (curve.add(curve.scalar_mul(i, A), curve.scalar_mul(j, P0)) for i, j in coords)
+    assert curve.add(curve.add(P, Q), R) == curve.add(P, curve.add(Q, R))
+    assert curve.add(P, Q) == curve.add(Q, P)
 
 
 def test_off_curve_rejected():

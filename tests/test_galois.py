@@ -15,7 +15,7 @@ from ellquot import (
 )
 from ellquot.factor import factor_over_Q
 from ellquot.fields import is_square
-from ellquot.galois import MAX_PRIME_BUDGET
+from ellquot.galois import MAX_PRIME_BUDGET, MIN_PRIME_BUDGET
 from ellquot.poly import discriminant
 
 x = UniPoly.gen(QQ)
@@ -81,8 +81,14 @@ def test_degree_range_enforced():
 
 
 def test_prime_budget_minimum():
-    rep = galois_group(shanks_cubic(1).poly, prime_budget=5)
-    assert rep.primes_used >= 20
+    # a budget below the minimum is rejected, never silently raised to it
+    for budget in (5, 0, -5):
+        with pytest.raises(ValueError, match=f"below the minimum of {MIN_PRIME_BUDGET}"):
+            galois_group(shanks_cubic(1).poly, prime_budget=budget)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="below the minimum of 1"):
+            frobenius_patterns(x ** 2 + 1, budget)
+    assert galois_group(shanks_cubic(1).poly, MIN_PRIME_BUDGET).primes_used == MIN_PRIME_BUDGET
 
 
 def test_prime_budget_above_the_cap_is_rejected():
@@ -158,7 +164,31 @@ def test_pncl5_sample_is_dihedral_consistent():
 def test_certainty_labels_honest():
     # an unbacked cyclic-looking quintic stays "sampled"
     fam, rep = cyclic_from_fiber(ConstructionInput(5, row=1, params={"z": 3}))
-    unbacked = galois_group(fam.poly, construction_backed=False)
+    unbacked = galois_group(fam.poly)
     assert unbacked.group_label == "C5"
     assert unbacked.certainty == "sampled"
     assert rep.certainty == "exact"
+
+
+def test_one_discriminant_and_no_gcd_per_report(monkeypatch):
+    from ellquot import poly
+
+    calls = {"resultant": 0, "gcd": 0}
+    resultant, gcd = poly.resultant, UniPoly.gcd
+
+    def counting_resultant(*args):
+        calls["resultant"] += 1
+        return resultant(*args)
+
+    def counting_gcd(*args):
+        calls["gcd"] += 1
+        return gcd(*args)
+
+    polys = [shanks_cubic(2).poly, x ** 4 - 2, p_ncl5(1, 2).poly, x ** 6 + x + 1]
+    monkeypatch.setattr(poly, "resultant", counting_resultant)
+    monkeypatch.setattr(UniPoly, "gcd", counting_gcd)
+    for f in polys:
+        calls.update(resultant=0, gcd=0)
+        rep = galois_group(f)
+        assert calls == {"resultant": 1, "gcd": 0}, (f, calls)
+        assert rep.disc == discriminant(f)

@@ -19,6 +19,7 @@ from ellquot import (
     QQ,
     TorsionOrderError,
     UniPoly,
+    WeierstrassCurve,
     factor_over_Q,
     fiber_polynomial,
     has_rational_preimage,
@@ -38,12 +39,46 @@ def small_rational_points(curve, bound=20):
     return pts
 
 
-def test_velu_requires_exact_order():
+@pytest.fixture
+def adds(monkeypatch):
+    """One entry per WeierstrassCurve.add call made while the test runs."""
+    calls = []
+    add = WeierstrassCurve.add
+
+    def counting_add(self, P, Q):
+        calls.append(1)
+        return add(self, P, Q)
+
+    monkeypatch.setattr(WeierstrassCurve, "add", counting_add)
+    return calls
+
+
+def test_velu_requires_exact_order(adds):
     curve, A = kubert_curve(5, Fraction(1))
-    with pytest.raises(TorsionOrderError):
+    with pytest.raises(TorsionOrderError, match="order 5, expected 7"):
         velu_quotient(curve, A, 7)
     with pytest.raises(TorsionOrderError):
         velu_quotient(curve, INFINITY, 5)
+    with pytest.raises(TorsionOrderError, match="order above 3"):
+        velu_quotient(curve, A, 3)
+    # (0, 0) on y^2 + y = x^3 + x has infinite order; the walk stops after l steps
+    generic = WeierstrassCurve(QQ, 0, 0, 1, 1, 0)
+    P = CurvePoint.affine(Fraction(0), Fraction(0))
+    assert generic.is_infinite_order(P)
+    adds.clear()
+    with pytest.raises(TorsionOrderError, match="order above 5"):
+        velu_quotient(generic, P, 5)
+    assert len(adds) == 5
+
+
+def test_velu_walks_the_kernel_once(adds):
+    curves = [(kubert_curve(3, 0, 6), 3)]
+    curves += [(kubert_curve(l, Fraction(2)), l) for l in (4, 5, 6, 7, 9, 10)]
+    for (curve, A), l in curves:
+        adds.clear()
+        isog = velu_quotient(curve, A, l)
+        assert len(adds) == l - 1, l
+        assert len(isog.kernel_points) == l - 1
 
 
 def test_codomain_preserves_a1_a2_a3():

@@ -86,7 +86,8 @@ def test_poly_ascii_rejects_an_exponent_above_the_cap(monkeypatch):
         raise AssertionError("a polynomial was built")
 
     monkeypatch.setattr(jsonio, "UniPoly", no_poly)
-    for k in (17, 100000):
+    # 5000 digits is past the length int() accepts from a string
+    for k in (17, 100000, "9" * 5000):
         with pytest.raises(ValueError, match=rf"exponent {k} in term 'x\^{k}'"):
             poly_from_ascii(f"1 + x^{k}")
 
