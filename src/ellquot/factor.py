@@ -3,9 +3,17 @@
 This module holds the algorithms only; all coefficient arithmetic runs on the
 integer-list kernel in ``intpoly``.  Over GF(p): squarefree decomposition,
 distinct-degree and equal-degree (Cantor-Zassenhaus) splitting, with results
-wrapped back into UniPoly over PrimeField.  Over Q: Yun's squarefree
-decomposition of the primitive integer model, factorization modulo a good
-prime, Hensel lifting past the coefficient bound, and subset recombination.
+wrapped back into UniPoly over PrimeField.  Each squarefree part f gets one
+Frobenius matrix, the rows x^(i*p) mod f built from a single x^p mod f (von
+zur Gathen & Shoup 1992, "Computing Frobenius maps and factoring
+polynomials"), so that h^p mod f is one matrix-vector product instead of a
+modular exponentiation.  The distinct-degree step takes x^(p^d) from it, and
+so does the equal-degree step for odd p, through
+h^((p^d-1)/2) = (h * h^p * ... * h^(p^(d-1)))^((p-1)/2).
+
+Over Q: Yun's squarefree decomposition of the primitive integer model,
+factorization modulo a good prime, Hensel lifting past the coefficient bound,
+and subset recombination.
 Rational roots come from p-adic lifting and rational reconstruction.  Degrees
 up to 16 are supported, which covers everything this package produces.
 """
@@ -62,6 +70,10 @@ def _squarefree_mod_p(f, p):
             recurse(f[::p], mult * p)
             return
         g = ip.gcd_mod(f, df, p)
+        if len(g) == 1:
+            # already squarefree: always so at a prime not dividing the discriminant
+            out.append((f, mult))
+            return
         w = ip.divmod_mod(f, g, p)[0]
         i = 1
         while len(w) > 1:
@@ -81,27 +93,37 @@ def _squarefree_mod_p(f, p):
     return out
 
 
-def _distinct_degree(f, p):
-    """[(product of degree-d irreducibles, d)] for monic squarefree f."""
+def _distinct_degree(f, p, rows):
+    """[(product of degree-d irreducibles, d)] for monic squarefree f.
+
+    rows = frobenius_rows(f, p).  h = x^(p^d) mod f takes one Frobenius step
+    per degree; it stays reduced mod f, which every remaining cofactor divides.
+    """
     out = []
     x = [0, 1]
-    h = x
+    h = ip.rem(x, f, p)
     d = 0
-    while len(f) - 1 > 2 * d:
+    rest = f
+    while len(rest) - 1 > 2 * d:
         d += 1
-        h = ip.powmod(h, p, f, p)
-        g = ip.gcd_mod(ip.sub(h, x, p), f, p)
+        h = ip.frobenius(h, rows, p)
+        g = ip.gcd_mod(ip.sub(h, x, p), rest, p)
         if len(g) > 1:
             out.append((g, d))
-            f = ip.divmod_mod(f, g, p)[0]
-            h = ip.divmod_mod(h, f, p)[1]
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
+            rest = ip.divmod_mod(rest, g, p)[0]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
     return out
 
 
-def _equal_degree(f, d, p, rng):
-    """Split a monic squarefree product of degree-d irreducibles."""
+def _equal_degree(f, d, p, rng, rows):
+    """Split a monic squarefree product f of degree-d irreducibles.
+
+    rows = frobenius_rows(part, p) for a squarefree part that f divides.  For
+    odd p, h^((p^d - 1)/2) mod f is the ((p - 1)/2)-th power of
+    h * h^p * ... * h^(p^(d-1)); the conjugates h^(p^i) stay reduced mod the
+    part for the Frobenius step, their running product is reduced mod f.
+    """
     n = len(f) - 1
     if n == d:
         return [f]
@@ -119,11 +141,15 @@ def _equal_degree(f, d, p, rng):
         else:
             g = ip.gcd_mod(h, f, p)
             if not 1 < len(g) < len(f):
-                t = ip.powmod(h, (p ** d - 1) // 2, f, p)
+                t = conj = h
+                for _ in range(d - 1):
+                    conj = ip.frobenius(conj, rows, p)
+                    t = ip.rem(ip.mul(t, conj), f, p)
+                t = ip.powmod(t, (p - 1) // 2, f, p)
                 g = ip.gcd_mod(ip.sub(t, [1], p), f, p)
         if 1 < len(g) < len(f):
             rest = ip.divmod_mod(f, g, p)[0]
-            return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
+            return _equal_degree(g, d, p, rng, rows) + _equal_degree(rest, d, p, rng, rows)
 
 
 def _factor_mod(f, p):
@@ -131,8 +157,9 @@ def _factor_mod(f, p):
     rng = random.Random(hash((p, tuple(f))))
     out = []
     for part, mult in _squarefree_mod_p(f, p):
-        for block, d in _distinct_degree(part, p):
-            for irr in _equal_degree(block, d, p, rng):
+        rows = ip.frobenius_rows(part, p)
+        for block, d in _distinct_degree(part, p, rows):
+            for irr in _equal_degree(block, d, p, rng, rows):
                 out.append((irr, mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out

@@ -64,6 +64,28 @@ def divmod_mod(f, g, m):
     return trim(quo, m), trim(f[:dg], m)
 
 
+def rem(f, g, m):
+    """Remainder of f by g mod m, reduced top-down; the quotient is never built.
+
+    g is trimmed mod m.  A monic g needs no inverse.
+    """
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero mod m")
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return trim(f, m)
+    f = list(f)
+    inv = 1 if g[-1] == 1 else pow(g[-1], -1, m)
+    low = g[:-1]
+    for k in range(len(f) - 1, dg - 1, -1):
+        c = f[k] * inv % m
+        if c:
+            s = k - dg
+            for j, b in enumerate(low):
+                f[s + j] -= c * b
+    return trim(f[:dg], m)
+
+
 def monic(f, m):
     if not f:
         return []
@@ -74,7 +96,7 @@ def monic(f, m):
 def gcd_mod(f, g, p):
     """Monic gcd over GF(p)."""
     while g:
-        f, g = g, divmod_mod(f, g, p)[1]
+        f, g = g, rem(f, g, p)
     return monic(f, p)
 
 
@@ -95,14 +117,37 @@ def bezout_mod(g, h, p):
 def powmod(f, e, mod, p):
     """f^e modulo the polynomial mod, over GF(p)."""
     out = [1]
-    f = divmod_mod(f, mod, p)[1]
+    f = rem(f, mod, p)
     while e:
         if e & 1:
-            out = divmod_mod(mul(out, f), mod, p)[1]
+            out = rem(mul(out, f), mod, p)
         e >>= 1
         if e:
-            f = divmod_mod(mul(f, f), mod, p)[1]
+            f = rem(mul(f, f), mod, p)
     return out
+
+
+def frobenius_rows(f, p):
+    """rows[i] = x^(i*p) mod f over GF(p) for i < deg f, from one powmod.
+
+    The rows are the matrix of the GF(p)-linear map h -> h^p on GF(p)[x]/(f):
+    h^p = sum h_i x^(i*p), because the p-th power is additive and fixes GF(p).
+    """
+    xp = powmod([0, 1], p, f, p)
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(rem(mul(rows[-1], xp), f, p))
+    return rows
+
+
+def frobenius(h, rows, p):
+    """h^p mod f over GF(p) for h reduced mod f, rows = frobenius_rows(f, p)."""
+    out = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return trim(out, p)
 
 
 def deriv(f, m=None):

@@ -8,6 +8,7 @@ decoder so payloads round-trip exactly.  No floating point appears anywhere.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .curves import CurvePoint, WeierstrassCurve
@@ -83,7 +84,9 @@ def poly_from_ascii(text: str, var: str | None = None) -> UniPoly:
 
     Accepts terms like '(3/2)*x^2', '-x', '5', 'x^3 - 2*x + 1/3'.  Every term
     carries at most one sign; an empty text, a dangling sign, a malformed
-    term or an exponent above FACTOR_DEGREE_CAP raises ValueError.
+    term, a numerator or denominator with more digits than the interpreter's
+    int-string limit (sys.get_int_max_str_digits()) or an exponent above
+    FACTOR_DEGREE_CAP raises ValueError.
     """
     pieces = _signed_terms(text)
     if not pieces[0].strip():
@@ -100,8 +103,18 @@ def poly_from_ascii(text: str, var: str | None = None) -> UniPoly:
         m = _TERM.fullmatch(term)
         if not m:
             raise ValueError(f"cannot parse polynomial term {term!r} in {text!r}")
+        coef_text = re.sub(r"[()\s]", "", m["coef"] or "1")
+        # the digit counts are checked first: Fraction() refuses strings longer
+        # than the interpreter's limit (0: none, as before Python 3.10.7)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        for digits in coef_text.lstrip("-").split("/"):
+            if limit and len(digits) > limit:
+                raise ValueError(
+                    f"coefficient in term {term!r} of {text!r} has more than {limit}"
+                    " digits, the interpreter's int-string limit"
+                )
         try:
-            coef = sign * Fraction(re.sub(r"[()\s]", "", m["coef"] or "1"))
+            coef = sign * Fraction(coef_text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in term {term!r} in {text!r}") from None
         if m["var"] is None:

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own algorithms: the resultant oracle
 builds the Sylvester matrix and expands its determinant by cofactors, and the
-naive評 root search scans divisor candidates directly.
+naive root search scans divisor candidates directly.
 """
 
 from fractions import Fraction

@@ -13,6 +13,13 @@ with the mathematical reason rather than weakened:
 `ellquot verify-paper` reports the same two failures with full analyses.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from ellquot.verify import run_battery
@@ -97,3 +104,45 @@ def test_side_results_of_ac6_are_as_analysed(battery):
     entry = next(c for c in battery["criteria"] if c["name"] == "AC-6")
     assert "l=4 analysis" in entry["detail"]
     assert "5: {'checked': " in entry["detail"]
+
+
+# AC-6 on the first five valid AC-5 certificates at l = 5 and 6, and AC-11
+_AC6_AC11 = textwrap.dedent(
+    """
+    import json, random
+    from ellquot import certify
+    from ellquot.verify import ac6, ac11, draw_input
+
+    certificates = {}
+    for l in (5, 6):
+        rng = random.Random(f"0-ac5-{l}")
+        while len(certificates.get(l, [])) < 5:
+            cert = certify(draw_input(l, rng))
+            if cert.valid:
+                certificates.setdefault(l, []).append(cert)
+    result = json.dumps([ac6(certificates), ac11(0)])
+    """
+)
+
+
+def test_ac6_and_ac11_agree_under_optimisation():
+    # python -O strips asserts; the Frobenius sampling behind both criteria
+    # must give the same verdicts and details without them
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.Popen(
+        [sys.executable, "-O", "-c", _AC6_AC11 + "print(result)"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        here = {}
+        exec(_AC6_AC11, here)  # the same calls in this process, while the child runs
+        out, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 0, err
+    assert out.strip() == here["result"]
+    (ac6_passed, ac6_detail), (ac11_passed, _) = json.loads(out)
+    assert "5: {'checked': 5, 'pass': True" in ac6_detail
+    assert "6: {'checked': 5, 'pass': True" in ac6_detail
+    assert ac11_passed

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,36 @@ def test_poly_ascii_rejects_an_exponent_above_the_cap(monkeypatch):
     for k in (17, 100000, "9" * 5000):
         with pytest.raises(ValueError, match=rf"exponent {k} in term 'x\^{k}'"):
             poly_from_ascii(f"1 + x^{k}")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit before Python 3.10.7"
+)
+@pytest.mark.parametrize("limit", [None, 640])
+def test_poly_ascii_rejects_a_coefficient_above_the_int_string_limit(limit):
+    # Fraction() refuses a numerator or denominator past the interpreter's
+    # int-string limit (4300 by default, down to 640 by -X int_max_str_digits)
+    saved = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        cap = sys.get_int_max_str_digits()
+        big = "9" * (cap + 1)
+        assert poly_from_ascii("9" * cap + "*x + 1").degree == 1
+        for text, term in [
+            (big + "*x + 1", big + "*x"),
+            ("x + 1/" + big, "1/" + big),
+            (f"x - ({big}/2)*x^2", f"({big}/2)*x^2"),
+            ("x + 1/0" + "9" * cap, "1/0" + "9" * cap),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                poly_from_ascii(text)
+            assert str(exc.value) == (
+                f"coefficient in term {term!r} of {text!r} has more than {cap}"
+                " digits, the interpreter's int-string limit"
+            )
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_curve_point_round_trip():

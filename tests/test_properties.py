@@ -63,6 +63,52 @@ def test_factor_mod_p_expands_back_with_monic_factors(g, p, m):
     assert factor_mod_p(g ** m, p).factors == fl.factors
 
 
+def _has_root_mod(coeffs, p):
+    return any(sum(c * r ** i for i, c in enumerate(coeffs)) % p == 0 for r in range(p))
+
+
+@st.composite
+def irreducible_mod(draw, p, d):
+    """A monic irreducible of degree 2 or 3 over GF(p): one with no root mod p.
+
+    The search starts at a drawn polynomial and walks all p^d monic ones.
+    """
+    start = draw(st.integers(0, p ** d - 1))
+    for step in range(p ** d):
+        i = (start + step) % p ** d
+        coeffs = [i // p ** k % p for k in range(d)] + [1]
+        if not _has_root_mod(coeffs, p):
+            return coeffs
+    raise AssertionError(f"no irreducible of degree {d} mod {p}")
+
+
+@st.composite
+def products_mod_p(draw):
+    """A unit times distinct irreducibles of one degree d in {2, 3} times a
+    random polynomial raised to a power up to 3, over GF(p)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 367]))
+    d = draw(st.sampled_from([2, 3]))
+    F = PrimeField(p)
+    f = UniPoly.constant(F, F(draw(st.integers(1, p - 1))))
+    for g in draw(st.lists(irreducible_mod(p, d), min_size=1, max_size=3, unique_by=tuple)):
+        f = f * UniPoly(F, [F(c) for c in g])
+    extra = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+    return f * UniPoly(F, [F(c) for c in extra] + [F.one]) ** draw(st.integers(0, 3))
+
+
+@SETTINGS
+@given(products_mod_p())
+def test_factor_mod_p_agrees_with_sympy_and_returns_irreducibles(f):
+    p = f.field.p
+    fl = factor_mod_p(f)
+    assert fl.expand() == f
+    X = sympy.Symbol("x")
+    _, expected = sympy.Poly([c.value for c in reversed(f.coeffs)], X, modulus=p).factor_list()
+    assert fl.degrees() == tuple(sorted(g.degree() for g, m in expected for _ in range(m)))
+    for g, _ in fl.factors:
+        assert sympy.Poly([c.value for c in reversed(g.coeffs)], X, modulus=p).is_irreducible
+
+
 def _to_sympy(f):
     return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], sympy.Symbol("x"), domain="QQ")
 
