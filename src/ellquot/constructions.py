@@ -33,7 +33,7 @@ from .errors import (
     OffCurveError,
     SingularCurveError,
 )
-from .fields import QQ, rational_sqrt
+from .fields import rational_sqrt
 from .isogeny import (
     FiberPolynomial,
     IsogenyData,
@@ -63,6 +63,20 @@ def x5(c, u0):
     return -(u0 + 1) * c * c + (11 * u0 + 8) * c + u0
 
 
+def _l6_factors(c):
+    """(alpha, beta, gamma) with f_{c,6}(x) = (4x - alpha)(x^2 + beta x + gamma)."""
+    return (
+        19 * c * c + 14 * c - 1,
+        2 * c * (2 * c + 1),
+        c * (4 * c ** 3 + 4 * c * c + c + 4),
+    )
+
+
+def _x6(c, v0, alpha):
+    """x_{c,6} = (alpha + v0^2 (9c+1)^2)/4, alpha = 19c^2 + 14c - 1."""
+    return Fraction(1, 4) * (alpha + v0 * v0 * (9 * c + 1) ** 2)
+
+
 def quotient_cubic(l, c):
     """(b2, 2b4, b6) of the published quotient model y^2 = f_{c,l}(x)."""
     if l == 5:
@@ -72,9 +86,7 @@ def quotient_cubic(l, c):
             -c * (4 * c ** 4 - 4 * c ** 3 - 40 * c * c + 91 * c - 4),
         )
     if l == 6:
-        alpha = 19 * c * c + 14 * c - 1
-        beta = 2 * c * (2 * c + 1)
-        gamma = c * (4 * c ** 3 + 4 * c * c + c + 4)
+        alpha, beta, gamma = _l6_factors(c)
         return (4 * beta - alpha, 4 * gamma - alpha * beta, -alpha * gamma)
     if l == 4:
         return (1 + 4 * c, 2 * c, c * c)
@@ -84,6 +96,12 @@ def quotient_cubic(l, c):
 def quotient_cubic_l3(a1, a3):
     """(b2, 2b4, b6) of y^2 = 4x^3 + a1^2 x^2 - 18 a1 a3 x - a3(4a1^3 + 27a3)."""
     return (a1 * a1, -18 * a1 * a3, -a3 * (4 * a1 ** 3 + 27 * a3))
+
+
+def _cubic_at(cubic, x, w=1):
+    """w^3 f(x/w) for f(x) = 4x^3 + b2 x^2 + 2b4 x + b6, cubic = (b2, 2b4, b6)."""
+    b2, b4x2, b6 = cubic
+    return ((4 * x + b2 * w) * x + b4x2 * w * w) * x + b6 * w ** 3
 
 
 @dataclass
@@ -118,12 +136,11 @@ class QuotientModel:
 
 def quotient_model(l, *params) -> QuotientModel:
     """The degree-l quotient of the Kubert curve, in the published model."""
-    field = QQ
     if params and not isinstance(params[0], Fraction):
         try:
             params = tuple(Fraction(p) for p in params)
         except (TypeError, ValueError):
-            field = None  # symbolic parameter, field taken from the value
+            pass  # symbolic parameter, field taken from the value
     if l == 3:
         a1v, a3v = params
         E, A = kubert_curve(3, a1v, a3v)
@@ -243,9 +260,9 @@ def construct_l6(v0, z):
     if den == 0:
         raise DegenerateParameterError("(z+3+9v0^2)(z-3-9v0^2) must be nonzero")
     c = 2 * (9 * v0 ** 4 + 18 * v0 * v0 - v0 * v0 * z + z + 5) / den
-    alpha, beta2, gamma2 = quotient_cubic(6, c)
-    x = (19 * c * c + 14 * c - 1 + v0 * v0 * (9 * c + 1) ** 2) / 4
-    fx = 4 * x ** 3 + alpha * x * x + beta2 * x + gamma2
+    alpha, beta, gamma = _l6_factors(c)
+    x = _x6(c, v0, alpha)
+    fx = (4 * x - alpha) * (x * x + beta * x + gamma)
     yb = rational_sqrt(fx)
     if yb is None:
         raise InvariantError(f"f(x_{{c,6}}) = {fx} is not a rational square at c = {c}")
@@ -260,59 +277,38 @@ def construct_l6(v0, z):
 
 
 def verify_defining_identity(l: int) -> bool:
-    """Exact multivariate check of f_{c,l}(x_{c,l}) = A_l G_l^2 (cleared form)."""
+    """Exact multivariate check of f_{c,l}(x_{c,l}) = A_l G_l^2.
+
+    The quotient cubics and, where they are polynomial, the constructions'
+    own x_{c,l} and G_l are evaluated at MultiPoly generators.
+    """
     if l == 5:
-        vars_ = ("c", "u0")
-        c, u0 = MultiPoly.gens(vars_)
-        x = -(u0 + 1) * c * c + (11 * u0 + 8) * c + u0
-        alpha = c * c - 30 * c + 1
-        beta = -2 * c * (3 * c + 1) * (4 * c - 7)
-        gamma = -c * (4 * c ** 4 - 4 * c ** 3 - 40 * c * c + 91 * c - 4)
-        lhs = 4 * x ** 3 + alpha * x * x + beta * x + gamma
-        A = (
-            -(4 * u0 + 3) * (u0 + 1) ** 2 * c * c
-            + 2 * (2 * u0 + 1) * (11 * u0 * u0 + 11 * u0 + 2) * c
-            + u0 * u0 * (4 * u0 + 1)
-        )
-        G = c * c - 11 * c - 1
-        return lhs == A * G * G
+        c, u0 = MultiPoly.gens(("c", "u0"))
+        return _cubic_at(quotient_cubic(5, c), x5(c, u0)) == a5(c, u0) * g5(c) ** 2
     if l == 3:
-        vars_ = ("a1", "a3", "u1")
-        a1, a3, u1 = MultiPoly.gens(vars_)
-        # x = (u1^3 a3 + a1 u1 + 1)/u1^2 and G_3 = (u1^3 a3 - u1 a1 - 2)/u1^3;
-        # both sides are multiplied by u1^6
+        a1, a3, u1 = MultiPoly.gens(("a1", "a3", "u1"))
+        # x = N/u1^2 and G_3 = (u1^3 a3 - u1 a1 - 2)/u1^3; both sides times u1^6
         N = u1 ** 3 * a3 + a1 * u1 + 1
-        lhs = (
-            4 * N ** 3
-            + a1 * a1 * N * N * u1 * u1
-            - 18 * a1 * a3 * N * u1 ** 4
-            - a3 * (4 * a1 ** 3 + 27 * a3) * u1 ** 6
-        )
         A = 4 * u1 ** 3 * a3 + (u1 * a1 + 1) ** 2
-        rhs = A * (u1 ** 3 * a3 - u1 * a1 - 2) ** 2
-        return lhs == rhs
+        lhs = _cubic_at(quotient_cubic_l3(a1, a3), N, u1 * u1)
+        return lhs == A * (u1 ** 3 * a3 - u1 * a1 - 2) ** 2
     if l == 6:
-        vars_ = ("c", "v0")
-        c, v0 = MultiPoly.gens(vars_)
-        alpha = 19 * c * c + 14 * c - 1
-        beta = 2 * c * (2 * c + 1)
-        gamma = c * (4 * c ** 3 + 4 * c * c + c + 4)
-        X = alpha + v0 * v0 * (9 * c + 1) ** 2  # = 4 x_{c,6}
-        lhs = (X - alpha) * (X * X + 4 * beta * X + 16 * gamma)
+        c, v0 = MultiPoly.gens(("c", "v0"))
+        alpha, beta, gamma = _l6_factors(c)
+        X = 4 * _x6(c, v0, alpha)  # integer coefficients, unlike x_{c,6}
         A = (
             9 * (3 * v0 * v0 + 1) ** 2 * c * c
             + 2 * (3 * v0 * v0 + 1) * (3 * v0 * v0 + 5) * c
             + (v0 * v0 - 1) ** 2
         )
-        rhs = A * v0 * v0 * (9 * c + 1) ** 4
-        return lhs == rhs
+        # 16 f(x) = (X - alpha)(X^2 + 4 beta X + 16 gamma) and G_6 = v0 (9c+1)^2 / 4
+        lhs = (X - alpha) * (X * X + 4 * beta * X + 16 * gamma)
+        return lhs == A * v0 * v0 * (9 * c + 1) ** 4
     if l == 4:
-        vars_ = ("c", "u")
-        c, u = MultiPoly.gens(vars_)
-        x = u * u - c
-        lhs = (x + c) * (4 * x * x + x + c)
-        rhs = u * u * (4 * c * c - 8 * u * u * c + u * u * (4 * u * u + 1))
-        return lhs == rhs
+        c, u = MultiPoly.gens(("c", "u"))
+        # x_{c,4} = u^2 - c, A_4 = 4c^2 - 8u^2 c + u^2(4u^2 + 1), G_4 = u
+        lhs = _cubic_at(quotient_cubic(4, c), u * u - c)
+        return lhs == u * u * (4 * c * c - 8 * u * u * c + u * u * (4 * u * u + 1))
     raise ValueError(f"no defining identity for l={l}")
 
 
@@ -397,7 +393,8 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
             excluded_reason=f"singular or undefined curve: {exc}",
         )
     F = model.curve
-    _check_model_matches_table(inp.l, params, F)
+    if not model_matches_table(inp.l, params, F):
+        raise InvariantError(f"model drifted from table: {F.b_form()}")
     try:
         point = F.from_b_point(x, yb)
     except OffCurveError:
@@ -427,15 +424,14 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
     )
 
 
-def _check_model_matches_table(l, params, F: WeierstrassCurve):
+def model_matches_table(l, params, F: WeierstrassCurve) -> bool:
+    """Whether the model F has the (b2, 2b4, b6) of the published table."""
     b = F.b_form()
     if l == 3:
         want = quotient_cubic_l3(params["a1"], params["a3"])
     else:
         want = quotient_cubic(l, params["c"])
-    got = (b.b2, 2 * b.b4, b.b6)
-    if got != tuple(F.field(w) for w in want):
-        raise InvariantError(f"model drifted from table: {got}")
+    return (b.b2, 2 * b.b4, b.b6) == tuple(F.field(w) for w in want)
 
 
 def _no_rational_preimage(model: QuotientModel, point: CurvePoint):
@@ -489,4 +485,4 @@ def _rational_two_torsion_x(model: QuotientModel):
         # root of the (x + c) factor of (x+c)(4x^2+x+c)
         return -c
     # l = 6: root of the (4x - alpha) factor
-    return (19 * c * c + 14 * c - 1) / 4
+    return _l6_factors(c)[0] / 4

@@ -324,6 +324,6 @@ def _field_of(params):
 
     for p in params:
         if isinstance(p, RatFunc):
-            field = FunctionField(p.num.var, p.num.field)
+            field = FunctionField(p.num.var)
             return field, tuple(field(q) for q in params)
     return QQ, tuple(Fraction(q) if not isinstance(q, Fraction) else q for q in params)

@@ -2,9 +2,12 @@
 
 Closed forms for the generic dihedral quintic family, the Brumer and Darmon
 quintics, the simplest cubic and quartic families, and the substitution and
-resultant identities connecting them.  All identity checks run formally in
-the free parameters (MultiPoly or function-field resultants); rational
-arguments give specialized exact checks.
+resultant identities connecting them.  Each family's coefficients are written
+once, in a function that works over any commutative ring: the public
+constructors evaluate it at rationals, and the identity checks evaluate the
+same function at MultiPoly generators (formal check in the free parameters)
+or at rationals (exact specialized check).  The substitution checks compare
+coefficient by coefficient; the Gras check takes a resultant.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantError
 from .fields import QQ
-from .funcfield import FunctionField
+from .funcfield import FunctionField, RatFunc
 from .multipoly import MultiPoly, MultiPolyRing
-from .poly import UniPoly, resultant
+from .poly import UniPoly, discriminant, resultant
 
 
 @dataclass
@@ -27,142 +31,110 @@ class FamilyPolynomial:
     poly: UniPoly
 
 
+# Coefficients [a0, a1, ...] (lowest degree first) of each family, over any
+# commutative ring containing the parameters.
+
+
+def _pncl5_coeffs(n, c):
+    return [
+        c ** 4,
+        c ** 4 - 3 * c ** 3,
+        -(c ** 3 + n * c * c - 3 * c * c),
+        c ** 3 + 2 * n * c - c * c - c,
+        -n,
+        1,
+    ]
+
+
+def _brumer_coeffs(s, u):
+    return [s, u, s * s - s - 2 * u - 1, u - s + 3, s - 3, 1]
+
+
+def _darmon_coeffs(S, T):
+    return [-(S + 3), T + 2 * S + 5, -(S * S + S - 2 * T - 5), T + S + 5, -S, 1]
+
+
+def _shanks_coeffs(t):
+    return [-1, -(t + 3), -t, 1]
+
+
+def _ptilde3_coeffs(u, v, n):
+    return [v, -n, u, 1]
+
+
+def _ptilde4_coeffs(n, c):
+    return [-c, n, 1 - n, -2, 1]
+
+
+def _gras_coeffs(t):
+    return [1, t, -6, -t, 1]
+
+
 def p_ncl5(n, c) -> FamilyPolynomial:
     """x^5 - nx^4 + (c^3+2nc-c^2-c)x^3 - (c^3+nc^2-3c^2)x^2 + (c^4-3c^3)x + c^4."""
-    n = Fraction(n)
-    c = Fraction(c)
-    x = UniPoly.gen(QQ)
-    poly = (
-        x ** 5
-        - n * x ** 4
-        - (-(c ** 3) - 2 * n * c + c * c + c) * x ** 3
-        - (c ** 3 + n * c * c - 3 * c * c) * x ** 2
-        - (-(c ** 4) + 3 * c ** 3) * x
-        + c ** 4
-    )
-    return FamilyPolynomial("pncl5", {"n": n, "c": c}, poly)
+    n, c = Fraction(n), Fraction(c)
+    return FamilyPolynomial("pncl5", {"n": n, "c": c}, UniPoly(QQ, _pncl5_coeffs(n, c)))
 
 
 def brumer(s, u) -> FamilyPolynomial:
     """x^5 + (s-3)x^4 + (u-s+3)x^3 + (s^2-s-2u-1)x^2 + ux + s."""
-    s = Fraction(s)
-    u = Fraction(u)
-    x = UniPoly.gen(QQ)
-    poly = (
-        x ** 5
-        + (s - 3) * x ** 4
-        + (u - s + 3) * x ** 3
-        + (s * s - s - 2 * u - 1) * x ** 2
-        + u * x
-        + s
-    )
-    return FamilyPolynomial("brumer", {"s": s, "u": u}, poly)
+    s, u = Fraction(s), Fraction(u)
+    return FamilyPolynomial("brumer", {"s": s, "u": u}, UniPoly(QQ, _brumer_coeffs(s, u)))
 
 
 def darmon(S, T) -> FamilyPolynomial:
     """x^5 - Sx^4 + (T+S+5)x^3 - (S^2+S-2T-5)x^2 + (T+2S+5)x - (S+3)."""
-    S = Fraction(S)
-    T = Fraction(T)
-    x = UniPoly.gen(QQ)
-    poly = (
-        x ** 5
-        - S * x ** 4
-        + (T + S + 5) * x ** 3
-        - (S * S + S - 2 * T - 5) * x ** 2
-        + (T + 2 * S + 5) * x
-        - (S + 3)
-    )
-    return FamilyPolynomial("darmon", {"S": S, "T": T}, poly)
+    S, T = Fraction(S), Fraction(T)
+    return FamilyPolynomial("darmon", {"S": S, "T": T}, UniPoly(QQ, _darmon_coeffs(S, T)))
 
 
 def shanks_cubic(t) -> FamilyPolynomial:
     """X^3 - tX^2 - (t+3)X - 1, the simplest cubic family."""
     t = Fraction(t)
-    x = UniPoly.gen(QQ, "X")
-    poly = x ** 3 - t * x ** 2 - (t + 3) * x - UniPoly.one(QQ, "X")
-    return FamilyPolynomial("shanks", {"t": t}, poly)
+    return FamilyPolynomial("shanks", {"t": t}, UniPoly(QQ, _shanks_coeffs(t), "X"))
 
 
 def ptilde_cubic(u, v, n) -> FamilyPolynomial:
     """x^3 + ux^2 - nx + v."""
     u, v, n = Fraction(u), Fraction(v), Fraction(n)
-    x = UniPoly.gen(QQ)
     return FamilyPolynomial(
-        "ptilde3", {"u": u, "v": v, "n": n}, x ** 3 + u * x ** 2 - n * x + v
+        "ptilde3", {"u": u, "v": v, "n": n}, UniPoly(QQ, _ptilde3_coeffs(u, v, n))
     )
 
 
 def ptilde_quartic(n, c) -> FamilyPolynomial:
     """x^4 - 2x^3 + (1-n)x^2 + nx - c."""
     n, c = Fraction(n), Fraction(c)
-    x = UniPoly.gen(QQ)
-    return FamilyPolynomial(
-        "ptilde4", {"n": n, "c": c}, x ** 4 - 2 * x ** 3 + (1 - n) * x * x + n * x - c
-    )
+    return FamilyPolynomial("ptilde4", {"n": n, "c": c}, UniPoly(QQ, _ptilde4_coeffs(n, c)))
 
 
 def gras_quartic(t) -> FamilyPolynomial:
     """X^4 - tX^3 - 6X^2 + tX + 1, the simplest quartic family."""
     t = Fraction(t)
-    x = UniPoly.gen(QQ, "X")
-    poly = x ** 4 - t * x ** 3 - 6 * x * x + t * x + UniPoly.one(QQ, "X")
-    return FamilyPolynomial("gras", {"t": t}, poly)
+    return FamilyPolynomial("gras", {"t": t}, UniPoly(QQ, _gras_coeffs(t), "X"))
 
 
 # ---------------------------------------------------------------------------
 # Exact transformation identities
 
 
-def _pncl5_terms(n, c):
-    """Coefficients [a0..a5] of the quintic family over any commutative ring."""
-    one = n * 0 + 1
-    return [
-        c ** 4,
-        -(-(c ** 4) + 3 * c ** 3),
-        -(c ** 3 + n * c * c - 3 * c * c),
-        -(-(c ** 3) - 2 * n * c + c * c + c),
-        -n,
-        one,
-    ]
-
-
 def check_brumer_substitution(s=None, u=None) -> bool:
     """(x, n, c) -> (s/x, -u, s) turns the quintic family into Brumer's.
 
-    With both arguments omitted the identity is verified formally in (s, u):
-    x^5 * P_{-u,s,5}(s/x) equals s^4 * B_{s,u}(x) as polynomials in (s, u, x).
-    With rational s != 0, u the specialized identity is checked exactly.
+    x^5 * P_{-u,s}(s/x) must equal s^4 * B_{s,u}(x): the coefficient of x^j
+    on the left is a_{5-j} s^{5-j}.  With both arguments omitted the identity
+    is verified formally in (s, u); with rational s != 0, u it is checked
+    exactly at that point.
     """
     if s is None and u is None:
-        vars_ = ("s", "u", "x")
-        sv, uv, xv = MultiPoly.gens(vars_)
-        coeffs = _pncl5_terms(-uv, sv)
-        lhs = MultiPoly(vars_)
-        # x^5 * P(s/x) = sum a_k s^k x^(5-k)
-        for k, a in enumerate(coeffs):
-            lhs = lhs + a * sv ** k * xv ** (5 - k)
-        bcoeffs = [
-            sv * 1,
-            uv * 1,
-            sv * sv - sv - 2 * uv - 1,
-            uv - sv + 3,
-            sv - 3,
-            MultiPoly.constant(vars_, 1),
-        ]
-        rhs = MultiPoly(vars_)
-        for k, b in enumerate(bcoeffs):
-            rhs = rhs + sv ** 4 * b * xv ** k
-        return lhs == rhs
-    s = Fraction(s)
-    u = Fraction(u)
-    if s == 0:
-        raise ValueError("the substitution needs s != 0")
-    P = p_ncl5(-u, s).poly
-    # coefficient of x^j in x^5 P(s/x) is a_{5-j} s^{5-j}
-    transformed = UniPoly(
-        QQ, [a * s ** (5 - j) for j, a in enumerate(reversed(P.coeffs))]
-    )
-    return transformed.monic() == brumer(s, u).poly
+        s, u = MultiPoly.gens(("s", "u"))
+    else:
+        s, u = Fraction(s), Fraction(u)
+        if s == 0:
+            raise ValueError("the substitution needs s != 0")
+    a = _pncl5_coeffs(-u, s)
+    b = _brumer_coeffs(s, u)
+    return all(a[5 - j] * s ** (5 - j) == s ** 4 * b[j] for j in range(6))
 
 
 def check_darmon_transform(S=None, T=None) -> bool:
@@ -170,128 +142,67 @@ def check_darmon_transform(S=None, T=None) -> bool:
 
     Formally in (S, T) when called without arguments, else exactly at the
     given rationals.  The leading coefficient after x -> -x is -1, so the
-    comparison negates once.
+    comparison negates once: D_j = (-1)^(j+1) B_j.
     """
     if S is None and T is None:
-        vars_ = ("S", "T", "x")
-        Sv, Tv, xv = MultiPoly.gens(vars_)
-        s = Sv + 3
-        u = Tv + 2 * Sv + 5
-        bcoeffs = [
-            s * 1,
-            u * 1,
-            s * s - s - 2 * u - 1,
-            u - s + 3,
-            s - 3,
-            MultiPoly.constant(vars_, 1),
-        ]
-        lhs = MultiPoly(vars_)
-        for k, b in enumerate(bcoeffs):
-            sign = -1 if (k % 2 == 0) else 1  # -B(-x): (-1)^(k+1)
-            lhs = lhs + sign * b * xv ** k
-        dcoeffs = [
-            -(Sv + 3),
-            Tv + 2 * Sv + 5,
-            -(Sv * Sv + Sv - 2 * Tv - 5),
-            Tv + Sv + 5,
-            -Sv,
-            MultiPoly.constant(vars_, 1),
-        ]
-        rhs = MultiPoly(vars_)
-        for k, d in enumerate(dcoeffs):
-            rhs = rhs + d * xv ** k
-        return lhs == rhs
-    S = Fraction(S)
-    T = Fraction(T)
-    B = brumer(S + 3, T + 2 * S + 5).poly
-    flipped = UniPoly(QQ, [(-1) ** (k + 1) * a for k, a in enumerate(B.coeffs)])
-    return flipped == darmon(S, T).poly
+        S, T = MultiPoly.gens(("S", "T"))
+    else:
+        S, T = Fraction(S), Fraction(T)
+    b = _brumer_coeffs(S + 3, T + 2 * S + 5)
+    d = _darmon_coeffs(S, T)
+    return all((-1) ** (j + 1) * bj == dj for j, (bj, dj) in enumerate(zip(b, d)))
 
 
 def check_shanks_reproduction(t=None) -> bool:
-    """ptilde_cubic(-t, -1, t+3) equals the simplest cubic family."""
-    if t is None:
-        vars_ = ("t", "x")
-        tv, xv = MultiPoly.gens(vars_)
-        lhs = xv ** 3 + (-tv) * xv * xv - (tv + 3) * xv + MultiPoly.constant(vars_, -1)
-        rhs = xv ** 3 - tv * xv * xv - (tv + 3) * xv + MultiPoly.constant(vars_, -1)
-        return lhs == rhs
-    t = Fraction(t)
-    return ptilde_cubic(-t, -1, t + 3).poly.coeffs == shanks_cubic(t).poly.coeffs
+    """ptilde_cubic(-t, -1, t+3) equals the simplest cubic family.
+
+    Formally in t when called without an argument, else exactly at t.
+    """
+    t = MultiPoly.variable("t", ("t",)) if t is None else Fraction(t)
+    return _ptilde3_coeffs(-t, -1, t + 3) == _shanks_coeffs(t)
 
 
 def gras_resultant_identity(t=None) -> bool:
-    """Resultant(ptilde4(x), X - (t/2 x^2 - (t^2+32)/(8t)), x) is the Gras quartic.
+    """Resultant(ptilde4(x), X - h(x), x) is the Gras quartic G(X).
 
-    Verified at (n, c) = ((t^2+32)/(2t^2), (3t^4-1024)/(16t^4)); the formal
-    check clears the parameter denominators and runs the subresultant
-    algorithm over Q[t, X], normalizing by the leading unit at the end.
+    Here h = t/2 x^2 - (t^2+32)/(8t) and (n, c) = ((t^2+32)/(2t^2),
+    (3t^4-1024)/(16t^4)).  Formally in t when t is omitted, else exactly at
+    the rational t != 0.  The denominators are cleared before the
+    subresultant algorithm runs over Q[t, X] (or Q[X]): with D = 16t^4 and
+    E = 8t, Res_x(D ptilde4, E (X - h)) = D^2 E^4 G = 2^20 t^12 G.
     """
     if t is None:
-        return _gras_identity_formal()
-    t = Fraction(t)
-    if t == 0:
-        raise ValueError("the Gras specialization needs t != 0")
-    FX = FunctionField("X")
-    X = FX.gen
-    n = (t * t + 32) / (2 * t * t)
-    c = (3 * t ** 4 - 1024) / (16 * t ** 4)
-    x = UniPoly.gen(FX)
-    ptilde = x ** 4 - 2 * x ** 3 + FX(1 - n) * x * x + FX(n) * x - FX(c)
-    second = UniPoly(FX, [X + FX((t * t + 32) / (8 * t)), FX.zero, FX(-t / 2)])
-    # resultant in x lives in Q(X); compare against the Gras quartic monically
-    res = resultant(ptilde, second)
-    num = res.num
-    lead = num.lc
-    normalized = num * (QQ.one / lead)
-    target = gras_quartic(t).poly
-    return res.is_polynomial and normalized.coeffs == target.coeffs
+        t = FunctionField("t").gen
+        names = ("t", "X")
+    else:
+        t = Fraction(t)
+        if t == 0:
+            raise ValueError("the Gras specialization needs t != 0")
+        names = ("X",)
 
+    def lift(q):
+        """q, a rational or a polynomial in t, as an element of Q[names]."""
+        if not isinstance(q, RatFunc):
+            return MultiPoly.constant(names, q)
+        if not q.is_polynomial:
+            raise InvariantError(f"{q} is not a polynomial in t")
+        return MultiPoly(names, {(i, 0): a for i, a in enumerate(q.num.coeffs)})
 
-def _gras_identity_formal() -> bool:
-    vars_ = ("t", "X")
-    ring = MultiPolyRing(vars_)
-    tv, Xv = MultiPoly.gens(vars_)
-    # clear denominators: 16 t^4 * ptilde and 8t * (X - t/2 x^2 + (t^2+32)/(8t))
-    c16 = lambda q: MultiPoly.constant(vars_, q)
-    f1 = UniPoly(
-        ring,
-        [
-            -(3 * tv ** 4 - c16(1024)),                      # -16t^4 c
-            8 * tv * tv * (tv * tv + 32),                   # 16t^4 n
-            16 * tv ** 4 - 8 * tv * tv * (tv * tv + 32),    # 16t^4 (1-n)
-            -32 * tv ** 4,
-            16 * tv ** 4,
-        ],
-    )
-    f2 = UniPoly(ring, [8 * tv * Xv + tv * tv + c16(32), ring.zero, -4 * tv * tv])
-    res = resultant(f1, f2)
-    # res = (16t^4)^2 (8t)^4 * Res(ptilde, X - h); strip the unit and compare
-    target = (
-        Xv ** 4 - tv * Xv ** 3 - 6 * Xv * Xv + tv * Xv + c16(1)
-    )
-    scale = res.divexact(target) if _divides(res, target) else None
-    if scale is None:
-        return False
-    # the quotient must be the constant 2^20 t^12 (no X dependence)
-    return all(e[1] == 0 for e in scale.terms)
-
-
-def _divides(a: MultiPoly, b: MultiPoly) -> bool:
-    try:
-        b.divexact(b)
-        a.divexact(b)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
+    X = MultiPoly.variable("X", names)
+    t2 = t * t
+    n = (t2 + 32) / (2 * t2)
+    c = (3 * t2 * t2 - 1024) / (16 * t2 * t2)
+    h0, h2 = -(t2 + 32) / (8 * t), t / 2
+    D, E = 16 * t2 * t2, 8 * t
+    ring = MultiPolyRing(names)
+    ptilde = UniPoly(ring, [lift(D * a) for a in _ptilde4_coeffs(n, c)])
+    second = UniPoly(ring, [lift(E) * X - lift(E * h0), ring.zero, -lift(E * h2)])
+    gras = sum((lift(g) * X ** k for k, g in enumerate(_gras_coeffs(t))), ring.zero)
+    return resultant(ptilde, second) == lift(D) ** 2 * lift(E) ** 4 * gras
 
 
 def shanks_disc_identity() -> bool:
     """disc(X^3 - tX^2 - (t+3)X - 1) = (t^2 + 3t + 9)^2 formally over Q(t)."""
-    from .poly import discriminant
-
     Ft = FunctionField("t")
     t = Ft.gen
-    x = UniPoly.gen(Ft, "X")
-    poly = x ** 3 - t * x * x - (t + 3) * x - Ft(1)
-    return discriminant(poly) == (t * t + 3 * t + 9) ** 2
+    return discriminant(UniPoly(Ft, _shanks_coeffs(t), "X")) == (t * t + 3 * t + 9) ** 2

@@ -1,8 +1,8 @@
-"""Rational function fields K(v): fractions of univariate polynomials.
+"""Rational function fields Q(v): fractions of univariate polynomials over Q.
 
-Used with K = Q for the symbolic parameter of a curve family, so Weierstrass
-models and Velu's formulas run unchanged over Q(c).  Fields may be nested,
-e.g. FunctionField("b", FunctionField("c")) models Q(c)(b).
+Used for the symbolic parameter of a curve family, so Weierstrass models and
+Velu's formulas run unchanged over Q(c), and for the formal family identities
+over Q(t).
 """
 
 from __future__ import annotations
@@ -49,13 +49,9 @@ class RatFunc:
             return other
         if isinstance(other, UniPoly) and other.field == self.num.field:
             return RatFunc(other, UniPoly.one(other.field, other.var))
-        if isinstance(other, (int, Fraction)) or type(other) is type(self.num.field.zero):
-            try:
-                c = self.num.field(other)
-            except (TypeError, ValueError):
-                return None
+        if isinstance(other, (int, Fraction)):
             return RatFunc(
-                UniPoly.constant(self.num.field, c, self.num.var),
+                UniPoly.constant(self.num.field, other, self.num.var),
                 UniPoly.one(self.num.field, self.num.var),
             )
         return None
@@ -131,31 +127,26 @@ class RatFunc:
 
 
 class FunctionField:
-    """The field of rational functions base(var)."""
+    """The field Q(var) of rational functions in one variable."""
 
-    def __init__(self, var: str, base=QQ):
+    def __init__(self, var: str):
         self.var = var
-        self.base = base
-        one_poly = UniPoly.one(base, var)
-        self.zero = RatFunc(UniPoly.zero(base, var), one_poly)
+        one_poly = UniPoly.one(QQ, var)
+        self.zero = RatFunc(UniPoly.zero(QQ, var), one_poly)
         self.one = RatFunc(one_poly, one_poly)
-        self.gen = RatFunc(UniPoly.gen(base, var), one_poly)
-        self.name = f"{getattr(base, 'name', base)}({var})"
+        self.gen = RatFunc(UniPoly.gen(QQ, var), one_poly)
+        self.name = f"{QQ.name}({var})"
 
     def __call__(self, value) -> RatFunc:
         if isinstance(value, RatFunc):
-            if value.num.field != self.base or value.num.var != self.var:
+            if value.num.field != QQ or value.num.var != self.var:
                 raise ValueError("rational function from a different field")
             return value
         if isinstance(value, UniPoly):
-            if value.field != self.base:
+            if value.field != QQ:
                 raise ValueError("polynomial over a different base")
-            return RatFunc(value, UniPoly.one(self.base, self.var))
-        c = self.base(value)
-        return RatFunc(
-            UniPoly.constant(self.base, c, self.var),
-            UniPoly.one(self.base, self.var),
-        )
+            return RatFunc(value, UniPoly.one(QQ, self.var))
+        return RatFunc(UniPoly.constant(QQ, QQ(value), self.var), UniPoly.one(QQ, self.var))
 
     def divexact(self, a, b):
         return self(a) / self(b)
@@ -164,11 +155,7 @@ class FunctionField:
         return self.name
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FunctionField)
-            and other.var == self.var
-            and other.base == self.base
-        )
+        return isinstance(other, FunctionField) and other.var == self.var
 
     def __hash__(self):
-        return hash(("FunctionField", self.var, self.base))
+        return hash(("FunctionField", self.var))

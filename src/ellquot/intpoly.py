@@ -17,8 +17,13 @@ from functools import reduce
 
 
 def trim(f, m=None):
-    """f without trailing zeros, reduced mod m first when m is given."""
-    f = [c % m for c in f] if m else list(f)
+    """f without trailing zeros, reduced mod m into a new list when m is given.
+
+    Without m, f itself is stripped in place: every such caller passes a list
+    it has just built.
+    """
+    if m:
+        f = [c % m for c in f]
     while f and not f[-1]:
         f.pop()
     return f
@@ -218,7 +223,7 @@ def divexact_zz(f, g):
         return None
     dg = len(g) - 1
     if len(f) <= dg:
-        return None if trim(f) else []
+        return None if any(f) else []
     f = list(f)
     quo = [0] * (len(f) - dg)
     for k in range(len(f) - dg - 1, -1, -1):
@@ -229,6 +234,6 @@ def divexact_zz(f, g):
         if c:
             for j, b in enumerate(g):
                 f[k + j] -= c * b
-    if trim(f[:dg]):
+    if any(f[:dg]):
         return None
     return quo

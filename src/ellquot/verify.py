@@ -16,13 +16,14 @@ from fractions import Fraction
 
 from .constructions import (
     ConstructionInput,
+    a5,
     certify,
     construct_l3,
     construct_l4,
     construct_l5,
     construct_l6,
+    model_matches_table,
     quotient_model,
-    quotient_cubic,
     verify_defining_identity,
 )
 from .factor import factor_over_Q
@@ -56,29 +57,31 @@ def _rnd(rng, lo=-9, hi=9, dmax=9, exclude=()):
             return q
 
 
+def _quotient_matches_table(l):
+    """The degree-l quotient model over Q(c) against the published table."""
+    c = FunctionField("c").gen
+    return model_matches_table(l, {"c": c}, quotient_model(l, c).curve)
+
+
 def ac1():
-    Fc = FunctionField("c")
-    c = Fc.gen
-    b = quotient_model(5, c).curve.b_form()
-    want = quotient_cubic(5, c)
-    ok = (b.b2, 2 * b.b4, b.b6) == want
-    return ok, "quotient of E(c,c) has b-form (c^2-30c+1, -2c(3c+1)(4c-7), -c(4c^4-4c^3-40c^2+91c-4))"
+    return (
+        _quotient_matches_table(5),
+        "quotient of E(c,c) has b-form (c^2-30c+1, -2c(3c+1)(4c-7), -c(4c^4-4c^3-40c^2+91c-4))",
+    )
 
 
 def ac2():
-    Fc = FunctionField("c")
-    c = Fc.gen
-    b = quotient_model(6, c).curve.b_form()
-    ok = (b.b2, 2 * b.b4, b.b6) == quotient_cubic(6, c)
-    return ok, "quotient of E(c+c^2,c) matches (4x-(19c^2+14c-1))(x^2+2c(2c+1)x+c(4c^3+4c^2+c+4))"
+    return (
+        _quotient_matches_table(6),
+        "quotient of E(c+c^2,c) matches (4x-(19c^2+14c-1))(x^2+2c(2c+1)x+c(4c^3+4c^2+c+4))",
+    )
 
 
 def ac3():
-    Fc = FunctionField("c")
-    c = Fc.gen
-    b = quotient_model(4, c).curve.b_form()
-    ok = (b.b2, 2 * b.b4, b.b6) == quotient_cubic(4, c)
-    return ok, "l=4 quotient model matches (x+c)(4x^2+x+c) (twist convention documented)"
+    return (
+        _quotient_matches_table(4),
+        "l=4 quotient model matches (x+c)(4x^2+x+c) (twist convention documented)",
+    )
 
 
 def ac4():
@@ -126,8 +129,6 @@ def draw_input(l, rng, as_printed=False):
 
 def _check_fixtures(as_printed):
     """The four concrete fixtures, by direct substitution."""
-    from .constructions import a5
-
     checks = []
     c, x, yb = construct_l5(1, z=1, as_printed=as_printed)
     if as_printed:
@@ -321,7 +322,7 @@ def ac11(seed, prime_budget=60):
             continue
         hist = frobenius_patterns(f, prime_budget)
         if (1, 2, 2) not in hist:
-            exceptions.append((str(n), str(c), "no (1,2,2) pattern in 60 primes"))
+            exceptions.append((str(n), str(c), f"no (1,2,2) pattern in {prime_budget} primes"))
     ok = len(exceptions) <= 2
     return ok, f"{20 - len(exceptions)}/20 dihedral-consistent; exceptions: {exceptions}"
 

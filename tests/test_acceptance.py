@@ -89,6 +89,16 @@ def test_ac11_generic_dihedral(battery):
     _criterion(battery, "AC-11")
 
 
+def test_ac11_reports_its_prime_budget(monkeypatch):
+    from ellquot import verify
+
+    monkeypatch.setattr(verify, "frobenius_patterns", lambda f, budget: {})
+    passed, detail = verify.ac11(0, prime_budget=20)
+    assert not passed
+    assert "no (1,2,2) pattern in 20 primes" in detail
+    assert "60 primes" not in detail
+
+
 def test_ac12_runtime(battery):
     _criterion(battery, "AC-12")
 

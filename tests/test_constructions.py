@@ -17,6 +17,7 @@ from ellquot import (
     construct_l4,
     construct_l5,
     construct_l6,
+    constructions,
     factor_over_Q,
     quotient_model,
     verify_defining_identity,
@@ -130,24 +131,27 @@ def test_defining_identities_exact():
         assert verify_defining_identity(l)
 
 
-def test_perturbed_identity_fails():
-    from ellquot.multipoly import MultiPoly
+def test_perturbed_identity_fails(monkeypatch):
+    # the identities evaluate the constructions' own formulas, so perturbing
+    # any one of them must break its identity
+    def plus_one(f):
+        return lambda *args: f(*args) + 1
 
-    vars_ = ("c", "u0")
-    c, u0 = MultiPoly.gens(vars_)
-    x = -(u0 + 1) * c * c + (11 * u0 + 8) * c + u0
-    alpha = c * c - 30 * c + 1
-    beta = -2 * c * (3 * c + 1) * (4 * c - 7)
-    gamma = -c * (4 * c ** 4 - 4 * c ** 3 - 40 * c * c + 91 * c - 4)
-    lhs = 4 * x ** 3 + alpha * x * x + beta * x + gamma
-    A_perturbed = (
-        -(4 * u0 + 3) * (u0 + 1) ** 2 * c * c
-        + 2 * (2 * u0 + 1) * (11 * u0 * u0 + 11 * u0 + 2) * c
-        + u0 * u0 * (4 * u0 + 1)
-        + 1
-    )
-    G = c * c - 11 * c - 1
-    assert lhs != A_perturbed * G * G
+    def shift_first(f):
+        return lambda *args: (f(*args)[0] + 1,) + f(*args)[1:]
+
+    for name, l, perturb in (
+        ("a5", 5, plus_one),
+        ("x5", 5, plus_one),
+        ("g5", 5, plus_one),
+        ("_x6", 6, plus_one),
+        ("_l6_factors", 6, shift_first),
+        ("quotient_cubic_l3", 3, shift_first),
+        ("quotient_cubic", 4, shift_first),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(constructions, name, perturb(getattr(constructions, name)))
+            assert not verify_defining_identity(l), name
 
 
 def test_quotient_model_tables_symbolic():

@@ -11,6 +11,7 @@ from ellquot import (
     check_darmon_transform,
     check_shanks_reproduction,
     darmon,
+    families,
     gras_quartic,
     gras_resultant_identity,
     p_ncl5,
@@ -55,14 +56,32 @@ def test_brumer_substitution_formal_and_random():
         check_brumer_substitution(0, 1)
 
 
-def test_brumer_substitution_negative_control():
-    # perturbing the quintic family by +1 breaks the identity
-    s, u = Fraction(2), Fraction(3)
-    P = p_ncl5(-u, s).poly + 1
-    transformed = UniPoly(
-        QQ, [a * s ** (5 - j) for j, a in enumerate(reversed(P.coeffs))]
+def _perturbed(monkeypatch, name, index):
+    """Add 1 to coefficient `index` of the family coefficient function `name`."""
+    exact = getattr(families, name)
+    monkeypatch.setattr(
+        families, name, lambda *args: [a + 1 if j == index else a for j, a in enumerate(exact(*args))]
     )
-    assert transformed.monic() != brumer(s, u).poly
+
+
+def test_brumer_substitution_negative_control(monkeypatch):
+    # the checks evaluate the library's own coefficients: perturbed Brumer
+    # coefficients break both the substitution and the Darmon transform
+    with monkeypatch.context() as m:
+        _perturbed(m, "_brumer_coeffs", 2)
+        assert not check_brumer_substitution()
+        assert not check_brumer_substitution(2, 3)
+        assert not check_darmon_transform()
+        assert not check_darmon_transform(1, 1)
+    _perturbed(monkeypatch, "_pncl5_coeffs", 0)
+    assert not check_brumer_substitution()
+    assert not check_brumer_substitution(2, 3)
+
+
+def test_shanks_reproduction_negative_control(monkeypatch):
+    _perturbed(monkeypatch, "_ptilde3_coeffs", 2)
+    assert not check_shanks_reproduction()
+    assert not check_shanks_reproduction(2)
 
 
 def test_darmon_transform():
@@ -104,7 +123,7 @@ def test_gras_resultant_identity():
         gras_resultant_identity(0)
 
 
-def test_gras_resultant_negative_control():
+def test_gras_resultant_negative_control(monkeypatch):
     # wrong n (n+1) must break the specialized identity
     from ellquot import FunctionField, resultant
 
@@ -119,6 +138,10 @@ def test_gras_resultant_negative_control():
     res = resultant(ptilde, second)
     normalized = res.num.monic()
     assert normalized != gras_quartic(t).poly
+    # and the library check, fed a perturbed ptilde4, must fail formally too
+    _perturbed(monkeypatch, "_ptilde4_coeffs", 1)
+    assert not gras_resultant_identity()
+    assert not gras_resultant_identity(t)
 
 
 def test_gras_specialization_at_2_value():

@@ -45,3 +45,14 @@ def modulus_and_residue(draw):
 def test_frobenius_rows_give_the_p_th_power(case):
     f, h, p = case
     assert ip.frobenius(h, ip.frobenius_rows(f, p), p) == ip.powmod(h, p, f, p)
+
+
+def test_divexact_zz_leaves_its_arguments_alone():
+    # trim strips a list in place when no modulus is given, so the kernel's
+    # exact division must not hand it a caller's list
+    f, g = [0, 0], [1, 1, 1]
+    assert ip.divexact_zz(f, g) == []
+    assert f == [0, 0]
+    f, g = [2, 3, 1], [1, 1]
+    assert ip.divexact_zz(f, g) == [2, 1]
+    assert f == [2, 3, 1]
