@@ -15,8 +15,9 @@ import random
 import sys
 from fractions import Fraction
 
-from .constructions import ConstructionInput, certify
-from .curves import kubert_curve
+from .constructions import CONSTRUCTION_PARAMETERS, ConstructionInput, certify
+from .constructions import parameter_mismatch
+from .curves import KUBERT_PARAMETERS, kubert_curve
 from .errors import EllquotError
 from .families import (
     brumer,
@@ -52,6 +53,16 @@ FAMILIES = {
 }
 
 
+def _flags(table):
+    """Every parameter name of a library table, once, in table order."""
+    return tuple(dict.fromkeys(k for names in table.values() for k in names))
+
+
+KUBERT_FLAGS = _flags(KUBERT_PARAMETERS)
+CONSTRUCTION_FLAGS = _flags(CONSTRUCTION_PARAMETERS)
+CONSTRUCTION_LEVELS = sorted({l for l, _ in CONSTRUCTION_PARAMETERS})
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -85,22 +96,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fam = sub.add_parser("family", help="Kubert curve with its order-l point")
-    fam.add_argument("--l", type=int, required=True)
-    fam.add_argument("--c", type=_fraction)
-    fam.add_argument("--a1", type=_fraction)
-    fam.add_argument("--a3", type=_fraction)
-
     quo = sub.add_parser("quotient", help="degree-l quotient isogeny data")
-    quo.add_argument("--l", type=int, required=True)
-    quo.add_argument("--c", type=_fraction)
-    quo.add_argument("--a1", type=_fraction)
-    quo.add_argument("--a3", type=_fraction)
+    for cmd in (fam, quo):
+        cmd.add_argument("--l", type=int, required=True)
+        for flag in KUBERT_FLAGS:
+            cmd.add_argument(f"--{flag}", type=_fraction)
     quo.add_argument("--symbolic", action="store_true", help="run over Q(c)")
 
     con = sub.add_parser("construct", help="certificate for one constructed point")
-    con.add_argument("--l", type=int, required=True, choices=(3, 4, 5, 6))
-    con.add_argument("--row", type=int, choices=(1, 2, 3))
-    for flag in ("z", "t", "m", "u", "v", "v0", "a1", "u1"):
+    con.add_argument("--l", type=int, required=True, choices=CONSTRUCTION_LEVELS)
+    rows = sorted({row for _, row in CONSTRUCTION_PARAMETERS if row})
+    con.add_argument("--row", type=int, choices=rows)
+    for flag in CONSTRUCTION_FLAGS:
         con.add_argument(f"--{flag}", type=_fraction)
     con.add_argument("--as-printed", action="store_true")
 
@@ -117,7 +124,7 @@ def build_parser() -> _Parser:
         pf.add_argument(f"--{flag}", type=_fraction)
 
     sw = sub.add_parser("sweep", help="JSON-lines certificates over random draws")
-    sw.add_argument("--l", type=int, required=True, choices=(3, 4, 5, 6))
+    sw.add_argument("--l", type=int, required=True, choices=CONSTRUCTION_LEVELS)
     sw.add_argument("--count", type=int, default=50)
     sw.add_argument("--seed", type=int, default=default_seed)
     sw.add_argument("--jobs", type=int, default=1)
@@ -130,59 +137,40 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _params_for(l, row, args):
-    if l == 3:
-        keys = ("a1", "u1", "z")
-    elif l == 4:
-        keys = ("u", "v")
-    elif l == 6:
-        keys = ("v0", "z")
-    elif row == 3:
-        keys = ("t", "m")
-    else:
-        keys = ("z",)
-    missing = [k for k in keys if getattr(args, k, None) is None]
-    if missing:
-        raise EllquotError(f"l={l} construction needs --{', --'.join(missing)}")
-    return {k: getattr(args, k) for k in keys}
+def _set_flags(args, flags):
+    """The given flags that are set, by name."""
+    return {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+
+
+def _kubert_args(args, symbolic=False):
+    """kubert_curve's parameters for args.l from its flags; over Q(c), the generator c."""
+    names = KUBERT_PARAMETERS.get(args.l)
+    if names is None:
+        raise EllquotError(f"l must be one of {sorted(KUBERT_PARAMETERS)}, got {args.l}")
+    if symbolic and len(names) != 1:
+        raise EllquotError("symbolic mode covers the one-parameter families")
+    given = _set_flags(args, KUBERT_FLAGS)
+    wanted = () if symbolic else names
+    if given.keys() != set(wanted):
+        raise parameter_mismatch(f"l={args.l}{' --symbolic' if symbolic else ''}", wanted, given)
+    return (FunctionField("c").gen,) if symbolic else tuple(given[k] for k in names)
 
 
 def cmd_family(args) -> int:
-    if args.l == 3:
-        if args.a1 is None or args.a3 is None:
-            raise EllquotError("l=3 needs --a1 and --a3")
-        curve, A = kubert_curve(3, args.a1, args.a3)
-    else:
-        if args.c is None:
-            raise EllquotError("l != 3 needs --c")
-        curve, A = kubert_curve(args.l, args.c)
+    curve, A = kubert_curve(args.l, *_kubert_args(args))
     _emit({"l": args.l, "curve": curve_to_json(curve), "torsion_point": point_to_json(A)})
     return 0
 
 
 def cmd_quotient(args) -> int:
-    if args.symbolic:
-        c = FunctionField("c").gen
-        if args.l == 3:
-            raise EllquotError("symbolic mode covers the one-parameter families")
-        curve, A = kubert_curve(args.l, c)
-    elif args.l == 3:
-        if args.a1 is None or args.a3 is None:
-            raise EllquotError("l=3 needs --a1 and --a3")
-        curve, A = kubert_curve(3, args.a1, args.a3)
-    else:
-        if args.c is None:
-            raise EllquotError("l != 3 needs --c (or --symbolic)")
-        curve, A = kubert_curve(args.l, args.c)
+    curve, A = kubert_curve(args.l, *_kubert_args(args, args.symbolic))
     isog = velu_quotient(curve, A, args.l)
     _emit(isogeny_to_json(isog))
     return 0
 
 
 def cmd_construct(args) -> int:
-    if args.l == 5 and args.row is None:
-        raise EllquotError("l=5 needs --row 1|2|3")
-    params = _params_for(args.l, args.row, args)
+    params = _set_flags(args, CONSTRUCTION_FLAGS)
     inp = ConstructionInput(args.l, row=args.row, params=params, as_printed=args.as_printed)
     cert = certify(inp)
     status = "ok" if cert.valid else "degenerate"

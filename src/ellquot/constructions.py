@@ -126,13 +126,6 @@ class QuotientModel:
     def from_model_x(self, x_model):
         return (x_model - self.shift) / self.scale
 
-    def model_point_to_velu(self, P: CurvePoint) -> CurvePoint:
-        """Transfer a model point to the Velu codomain (untwisted models only)."""
-        if self.twisted:
-            raise ValueError("the l=4 model is a twist; points do not transfer")
-        xb, yb = self.curve.b_point(P)
-        return self.isogeny.codomain.from_b_point(self.from_model_x(xb), yb)
-
 
 def quotient_model(l, *params) -> QuotientModel:
     """The degree-l quotient of the Kubert curve, in the published model."""
@@ -141,40 +134,25 @@ def quotient_model(l, *params) -> QuotientModel:
             params = tuple(Fraction(p) for p in params)
         except (TypeError, ValueError):
             pass  # symbolic parameter, field taken from the value
-    if l == 3:
-        a1v, a3v = params
-        E, A = kubert_curve(3, a1v, a3v)
-        isog = velu_quotient(E, A, 3)
-        return QuotientModel(
-            3, params, E, A, isog, isog.codomain, E.field.one, E.field.zero, False
-        )
-    if l == 5:
-        (c,) = params
-        E, A = kubert_curve(5, c)
-        isog = velu_quotient(E, A, 5)
-        F = E.field
-        sigma = F.zero
-        for Q in isog.kernel_points:
-            sigma = sigma + Q.x
-        model = isog.codomain.translated(-sigma)
-        return QuotientModel(5, params, E, A, isog, model, F.one, sigma, False)
-    if l == 6:
-        (c,) = params
-        E, A = kubert_curve(6, c)
-        isog = velu_quotient(E, A, 6)
-        return QuotientModel(
-            6, params, E, A, isog, isog.codomain, E.field.one, E.field.zero, False
-        )
+    if l not in (3, 4, 5, 6):
+        raise ValueError(f"constructions cover l in {{3,4,5,6}}, got {l}")
+    kubert_params = params
     if l == 4:
-        (c,) = params
-        E, A = kubert_curve(4, c - Fraction(1, 16))
-        isog = velu_quotient(E, A, 4)
-        F = E.field
+        (c,) = params  # the l = 4 table belongs to the Kubert curve at c - 1/16
+        kubert_params = (c - Fraction(1, 16),)
+    E, A = kubert_curve(l, *kubert_params)
+    isog = velu_quotient(E, A, l)
+    F = E.field
+    model, scale, shift = isog.codomain, F.one, F.zero
+    if l == 5:
+        for Q in isog.kernel_points:
+            shift = shift + Q.x
+        model = isog.codomain.translated(-shift)
+    elif l == 4:
         model = WeierstrassCurve(F, F.one, F(c), F(c), F.zero, F.zero)
         scale = -F.one / F(4)
         shift = -(F(c) + F(Fraction(7, 16))) / F(4)
-        return QuotientModel(4, params, E, A, isog, model, scale, shift, True)
-    raise ValueError(f"constructions cover l in {{3,4,5,6}}, got {l}")
+    return QuotientModel(l, params, E, A, isog, model, scale, shift, l == 4)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +294,32 @@ def verify_defining_identity(l: int) -> bool:
 # Certificates
 
 
+# The free parameters of each construction by (l, row), named as the keywords
+# of construct_l3/4/5/6; only l = 5 has rows.
+CONSTRUCTION_PARAMETERS = {
+    (3, None): ("a1", "u1", "z"),
+    (4, None): ("u", "v"),
+    (5, 1): ("z",),
+    (5, 2): ("z",),
+    (5, 3): ("t", "m"),
+    (6, None): ("v0", "z"),
+}
+
+
+def parameter_mismatch(what, names, given: dict) -> ValueError:
+    """ValueError naming the expected, missing and unexpected parameters."""
+    missing = [k for k in names if k not in given]
+    unexpected = [k for k in given if k not in names]
+    return ValueError(f"{what} takes {names}: missing {missing}, unexpected {unexpected}")
+
+
 @dataclass
 class ConstructionInput:
-    """Free parameters selecting one constructed point."""
+    """Free parameters selecting one constructed point.
+
+    They are checked against CONSTRUCTION_PARAMETERS once, here, and kept in
+    the table's order.
+    """
 
     l: int
     row: int | None = None
@@ -326,9 +327,14 @@ class ConstructionInput:
     as_printed: bool = False
 
     def __post_init__(self):
-        if self.params is None:
-            self.params = {}
-        self.params = {k: Fraction(v) for k, v in self.params.items()}
+        params = {} if self.params is None else self.params
+        key = (self.l, self.row)
+        names = CONSTRUCTION_PARAMETERS.get(key)
+        if names is None:
+            raise ValueError(f"no (l, row) = {key} in {CONSTRUCTION_PARAMETERS}")
+        if params.keys() != set(names):
+            raise parameter_mismatch(f"the (l, row) = {key} construction", names, params)
+        self.params = {k: Fraction(params[k]) for k in names}
 
 
 @dataclass
@@ -353,22 +359,16 @@ class NontrivialPointCertificate:
 
 
 def _construct(inp: ConstructionInput):
-    """Run the row construction; returns (model params, x, y_b, extras)."""
+    """Run the row construction; returns (certificate params, model args, x, y_b)."""
     p = inp.params
     if inp.l == 3:
-        a3, x, yb = construct_l3(p["a1"], p["u1"], p["z"])
+        a3, x, yb = construct_l3(**p)
         return {"a1": p["a1"], "a3": a3, **p}, (p["a1"], a3), x, yb
-    if inp.l == 4:
-        c, x, yb = construct_l4(p["u"], p["v"])
-        return {"c": c, **p}, (c,), x, yb
     if inp.l == 5:
-        kw = {k: p[k] for k in ("z", "t", "m") if k in p}
-        c, x, yb = construct_l5(inp.row, as_printed=inp.as_printed, **kw)
+        c, x, yb = construct_l5(inp.row, as_printed=inp.as_printed, **p)
         return {"c": c, "row": Fraction(inp.row), **p}, (c,), x, yb
-    if inp.l == 6:
-        c, x, yb = construct_l6(p["v0"], p["z"])
-        return {"c": c, **p}, (c,), x, yb
-    raise ValueError(f"constructions cover l in {{3,4,5,6}}, got {inp.l}")
+    c, x, yb = (construct_l4 if inp.l == 4 else construct_l6)(**p)
+    return {"c": c, **p}, (c,), x, yb
 
 
 def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
@@ -411,7 +411,7 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
             excluded_reason="torsion point (y=0)",
         )
     infinite = F.is_infinite_order(point)
-    nontrivial, witness = _no_rational_preimage(model, point)
+    nontrivial, witness = _no_rational_preimage(model, x, yb)
     fiber = _cyclic_fiber(model, point)
     reason = None
     if not nontrivial:
@@ -434,18 +434,22 @@ def model_matches_table(l, params, F: WeierstrassCurve) -> bool:
     return (b.b2, 2 * b.b4, b.b6) == tuple(F.field(w) for w in want)
 
 
-def _no_rational_preimage(model: QuotientModel, point: CurvePoint):
-    """(nontrivial, witness): exact preimage decision in the model coordinates."""
+def _no_rational_preimage(model: QuotientModel, x, yb):
+    """(nontrivial, witness): exact preimage decision for the model point (x, y_b).
+
+    An untwisted model is an isomorphism of curves that keeps y_b, so the
+    point moves to the Velu codomain by its x-coordinate alone.
+    """
     from .factor import rational_roots
 
+    x_velu = model.from_model_x(x)
     if model.twisted:
-        fiber = model.isogeny.fiber(model.from_model_x(point.x))
-        for x0 in sorted(set(rational_roots(fiber))):
+        for x0 in sorted(set(rational_roots(model.isogeny.fiber(x_velu)))):
             lifts = lift_x(model.domain, x0)
             if lifts:
                 return False, lifts[0]
         return True, None
-    Q = model.model_point_to_velu(point)
+    Q = model.isogeny.codomain.from_b_point(x_velu, yb)
     found, witness = has_rational_preimage(model.isogeny, Q)
     return not found, witness
 

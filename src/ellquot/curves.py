@@ -272,8 +272,6 @@ def _bc_12(d):
     return b, c
 
 
-KUBERT_PARAM_COUNT = {3: 2, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1, 12: 1}
-
 _KUBERT_BC = {
     4: _bc_4,
     5: _bc_5,
@@ -285,6 +283,9 @@ _KUBERT_BC = {
     12: _bc_12,
 }
 
+# The parameter names of each level, in kubert_curve's argument order.
+KUBERT_PARAMETERS = {3: ("a1", "a3"), **dict.fromkeys(_KUBERT_BC, ("c",))}
+
 
 def kubert_curve(l: int, *params):
     """The Kubert family member with its marked point of exact order l.
@@ -295,10 +296,10 @@ def kubert_curve(l: int, *params):
     it is not exactly l (which cannot happen at nonsingular parameters of a
     correct table entry).
     """
-    if l not in KUBERT_PARAM_COUNT:
-        raise ValueError(f"l must be one of {sorted(KUBERT_PARAM_COUNT)}, got {l}")
-    if len(params) != KUBERT_PARAM_COUNT[l]:
-        raise ValueError(f"l={l} takes {KUBERT_PARAM_COUNT[l]} parameter(s)")
+    if l not in KUBERT_PARAMETERS:
+        raise ValueError(f"l must be one of {sorted(KUBERT_PARAMETERS)}, got {l}")
+    if len(params) != len(KUBERT_PARAMETERS[l]):
+        raise ValueError(f"l={l} takes {len(KUBERT_PARAMETERS[l])} parameter(s)")
     field, params = _field_of(params)
     if l == 3:
         a1, a3 = params

@@ -78,6 +78,30 @@ def test_construct_missing_parameter_domain_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("construct --l 4 --u 1 --v 1 --z 3", "unexpected ['z']"),
+        ("construct --l 5 --z 2", "(5, 1): ('z',)"),
+        ("family --l 5 --c 2 --a1 3", "unexpected ['a1']"),
+        ("family --l 3 --a1 0", "missing ['a3']"),
+        ("quotient --l 5 --symbolic --c 2", "unexpected ['c']"),
+        ("quotient --l 4 --a1 0 --a3 6", "missing ['c'], unexpected ['a1', 'a3']"),
+    ],
+)
+def test_missing_or_foreign_parameter_flag_is_a_domain_error(capsys, monkeypatch, argv, named):
+    def fail(*args, **kwargs):
+        raise AssertionError("the flags were not checked first")
+
+    monkeypatch.setattr(cli, "certify", fail)
+    monkeypatch.setattr(cli, "kubert_curve", fail)
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert named in doc["payload"]["message"]
+
+
 def test_galois_family(capsys):
     code, out = run_cli(capsys, "galois", "--family", "shanks", "--t", "2")
     assert code == 0

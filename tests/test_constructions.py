@@ -214,6 +214,28 @@ class TestCertify:
         assert "row-1" in cert.excluded_reason
 
 
+@pytest.mark.parametrize(
+    "l, row, params, named",
+    [
+        (4, None, {"u": 1}, "missing ['v']"),
+        (5, 4, {"z": 2}, "(5, 3): ('t', 'm')"),
+        (5, None, {"z": 2}, "(5, 1): ('z',)"),
+        (6, None, {"v0": 1, "z": 16, "q": 3}, "unexpected ['q']"),
+        (4, 1, {"u": 1, "v": 1}, "(4, None): ('u', 'v')"),
+    ],
+)
+def test_construction_input_rejects_a_level_row_or_parameter_off_the_table(l, row, params, named):
+    with pytest.raises(ValueError) as exc:
+        certify(ConstructionInput(l, row, params))
+    assert named in str(exc.value)
+
+
+def test_construction_input_keeps_the_table_order():
+    inp = ConstructionInput(3, params={"z": 5, "u1": 1, "a1": 0})
+    assert list(inp.params) == list(constructions.CONSTRUCTION_PARAMETERS[3, None])
+    assert certify(inp).params == {"a1": 0, "a3": 6, "u1": 1, "z": 5}
+
+
 def test_random_sweep_statistics():
     from ellquot import draw_input
 

@@ -1,6 +1,7 @@
-"""Property tests of the integer-polynomial kernel through the public API.
+"""Property tests of the polynomial kernel, the ring Q[x] and the JSON codecs.
 
-sympy serves only as an independent oracle here; the package never imports it.
+sympy and tests/oracles.py serve only as independent oracles here; the
+package never imports them.
 """
 
 from fractions import Fraction
@@ -8,8 +9,28 @@ from fractions import Fraction
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from ellquot import QQ, PrimeField, UniPoly, factor_mod_p, factor_over_Q
-from ellquot.jsonio import poly_from_ascii, poly_to_ascii
+from ellquot import (
+    QQ,
+    EllquotError,
+    PrimeField,
+    UniPoly,
+    factor_mod_p,
+    factor_over_Q,
+    kubert_curve,
+    resultant,
+)
+from ellquot.curves import KUBERT_PARAMETERS
+from ellquot.jsonio import (
+    curve_from_json,
+    curve_to_json,
+    point_from_json,
+    point_to_json,
+    poly_from_ascii,
+    poly_from_json,
+    poly_to_ascii,
+    poly_to_json,
+)
+from oracles import sylvester_resultant
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -128,3 +149,52 @@ def test_gcd_over_Q_is_the_monic_common_divisor_sympy_finds(a, b, common):
 @given(polys(0, 6))
 def test_ascii_form_round_trips(f):
     assert poly_from_ascii(poly_to_ascii(f)) == f
+
+
+integer_polys = polys(0, 4, st.integers(-9, 9).map(Fraction))
+
+
+@SETTINGS
+@given(integer_polys, integer_polys)
+def test_resultant_is_the_sylvester_determinant(f, g):
+    assert resultant(f, g) == sylvester_resultant(f, g)
+
+
+ring_elements = st.one_of(st.just(UniPoly.zero(QQ)), polys(0, 4))
+
+
+@SETTINGS
+@given(ring_elements, ring_elements, ring_elements)
+def test_polynomials_over_Q_form_a_commutative_ring(f, g, h):
+    zero, one = UniPoly.zero(QQ), UniPoly.one(QQ)
+    assert (f + g) + h == f + (g + h) and f + g == g + f
+    assert f + zero == f and f + (-f) == zero and f - g == f + (-g)
+    assert (f * g) * h == f * (g * h) and f * g == g * f
+    assert f * one == f and f * zero == zero
+    assert f * (g + h) == f * g + f * h
+
+
+@st.composite
+def kubert_points(draw):
+    """(curve, k*A) for a nonsingular rational Kubert curve and 0 <= k <= l."""
+    l = draw(st.sampled_from(sorted(KUBERT_PARAMETERS)))
+    params = [draw(rationals) for _ in KUBERT_PARAMETERS[l]]
+    try:
+        E, A = kubert_curve(l, *params)
+    except EllquotError:
+        assume(False)
+    return E, E.scalar_mul(draw(st.integers(0, l)), A)
+
+
+@SETTINGS
+@given(polys(0, 6))
+def test_poly_json_round_trips(f):
+    assert poly_from_json(poly_to_json(f)) == f
+
+
+@SETTINGS
+@given(kubert_points())
+def test_curve_and_point_json_round_trip(curve_point):
+    E, P = curve_point
+    assert curve_from_json(curve_to_json(E)) == E
+    assert point_from_json(point_to_json(P)) == P
