@@ -16,18 +16,9 @@ import sys
 from fractions import Fraction
 
 from .constructions import CONSTRUCTION_PARAMETERS, ConstructionInput, certify
-from .constructions import parameter_mismatch
 from .curves import KUBERT_PARAMETERS, kubert_curve
-from .errors import EllquotError
-from .families import (
-    brumer,
-    darmon,
-    gras_quartic,
-    p_ncl5,
-    ptilde_cubic,
-    ptilde_quartic,
-    shanks_cubic,
-)
+from .errors import EllquotError, check_parameters
+from .families import FAMILIES, family_polynomial
 from .funcfield import FunctionField
 from .galois import DEFAULT_PRIME_BUDGET, check_prime_budget, galois_group
 from .isogeny import velu_quotient
@@ -42,24 +33,14 @@ from .jsonio import (
 )
 from .verify import draw_input, run_battery
 
-FAMILIES = {
-    "pncl5": (p_ncl5, ("n", "c")),
-    "brumer": (brumer, ("s", "u")),
-    "darmon": (darmon, ("S", "T")),
-    "shanks": (shanks_cubic, ("t",)),
-    "ptilde3": (ptilde_cubic, ("u", "v", "n")),
-    "ptilde4": (ptilde_quartic, ("n", "c")),
-    "gras": (gras_quartic, ("t",)),
-}
+def _flags(name_tuples):
+    """Every parameter name of a library table's name tuples, once, in table order."""
+    return tuple(dict.fromkeys(k for names in name_tuples for k in names))
 
 
-def _flags(table):
-    """Every parameter name of a library table, once, in table order."""
-    return tuple(dict.fromkeys(k for names in table.values() for k in names))
-
-
-KUBERT_FLAGS = _flags(KUBERT_PARAMETERS)
-CONSTRUCTION_FLAGS = _flags(CONSTRUCTION_PARAMETERS)
+KUBERT_FLAGS = _flags(KUBERT_PARAMETERS.values())
+CONSTRUCTION_FLAGS = _flags(CONSTRUCTION_PARAMETERS.values())
+FAMILY_FLAGS = _flags(names for _, names, _ in FAMILIES.values())
 CONSTRUCTION_LEVELS = sorted({l for l, _ in CONSTRUCTION_PARAMETERS})
 
 
@@ -114,13 +95,13 @@ def build_parser() -> _Parser:
     gal = sub.add_parser("galois", help="Galois group report for degree 3..6")
     gal.add_argument("--poly", help="polynomial in canonical ASCII form")
     gal.add_argument("--family", choices=sorted(FAMILIES))
-    for flag in ("n", "c", "s", "u", "S", "T", "t", "v"):
+    for flag in FAMILY_FLAGS:
         gal.add_argument(f"--{flag}", type=_fraction)
     gal.add_argument("--primes", type=int, default=DEFAULT_PRIME_BUDGET)
 
     pf = sub.add_parser("polyfam", help="closed-form family polynomial")
     pf.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    for flag in ("n", "c", "s", "u", "S", "T", "t", "v"):
+    for flag in FAMILY_FLAGS:
         pf.add_argument(f"--{flag}", type=_fraction)
 
     sw = sub.add_parser("sweep", help="JSON-lines certificates over random draws")
@@ -151,8 +132,7 @@ def _kubert_args(args, symbolic=False):
         raise EllquotError("symbolic mode covers the one-parameter families")
     given = _set_flags(args, KUBERT_FLAGS)
     wanted = () if symbolic else names
-    if given.keys() != set(wanted):
-        raise parameter_mismatch(f"l={args.l}{' --symbolic' if symbolic else ''}", wanted, given)
+    check_parameters(f"l={args.l}{' --symbolic' if symbolic else ''}", wanted, given)
     return (FunctionField("c").gen,) if symbolic else tuple(given[k] for k in names)
 
 
@@ -179,28 +159,22 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _family_from_args(args):
-    fn, keys = FAMILIES[args.family]
-    missing = [k for k in keys if getattr(args, k, None) is None]
-    if missing:
-        raise EllquotError(f"family {args.family} needs --{', --'.join(missing)}")
-    return fn(*[getattr(args, k) for k in keys])
-
-
 def cmd_galois(args) -> int:
     if (args.poly is None) == (args.family is None):
         raise EllquotError("give exactly one of --poly or --family")
+    given = _set_flags(args, FAMILY_FLAGS)
     if args.poly is not None:
+        check_parameters("--poly", (), given)
         poly = poly_from_ascii(args.poly)
     else:
-        poly = _family_from_args(args).poly
+        poly = family_polynomial(args.family, given).poly
     report = galois_group(poly, args.primes)
     _emit(galois_report_to_json(report))
     return 0
 
 
 def cmd_polyfam(args) -> int:
-    fam = _family_from_args(args)
+    fam = family_polynomial(args.family, _set_flags(args, FAMILY_FLAGS))
     _emit(family_to_json(fam))
     return 0
 
@@ -257,9 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except EllquotError as exc:
-        return _emit_error(exc)
-    except (ZeroDivisionError, ValueError) as exc:
+    except (EllquotError, ZeroDivisionError, ValueError) as exc:
         return _emit_error(exc)
 
 

@@ -32,7 +32,9 @@ from .errors import (
     InvariantError,
     OffCurveError,
     SingularCurveError,
+    check_parameters,
 )
+from .factor import rational_roots
 from .fields import rational_sqrt
 from .isogeny import (
     FiberPolynomial,
@@ -306,13 +308,6 @@ CONSTRUCTION_PARAMETERS = {
 }
 
 
-def parameter_mismatch(what, names, given: dict) -> ValueError:
-    """ValueError naming the expected, missing and unexpected parameters."""
-    missing = [k for k in names if k not in given]
-    unexpected = [k for k in given if k not in names]
-    return ValueError(f"{what} takes {names}: missing {missing}, unexpected {unexpected}")
-
-
 @dataclass
 class ConstructionInput:
     """Free parameters selecting one constructed point.
@@ -332,8 +327,7 @@ class ConstructionInput:
         names = CONSTRUCTION_PARAMETERS.get(key)
         if names is None:
             raise ValueError(f"no (l, row) = {key} in {CONSTRUCTION_PARAMETERS}")
-        if params.keys() != set(names):
-            raise parameter_mismatch(f"the (l, row) = {key} construction", names, params)
+        check_parameters(f"the (l, row) = {key} construction", names, params)
         self.params = {k: Fraction(params[k]) for k in names}
 
 
@@ -440,8 +434,6 @@ def _no_rational_preimage(model: QuotientModel, x, yb):
     An untwisted model is an isomorphism of curves that keeps y_b, so the
     point moves to the Velu codomain by its x-coordinate alone.
     """
-    from .factor import rational_roots
-
     x_velu = model.from_model_x(x)
     if model.twisted:
         for x0 in sorted(set(rational_roots(model.isogeny.fiber(x_velu)))):

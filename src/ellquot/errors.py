@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and its one parameter-set check."""
 
 
 class EllquotError(Exception):
@@ -41,3 +41,14 @@ class InvariantError(EllquotError):
     """An internal invariant failed: a defect in this package, not in the input."""
 
     code = "internal-invariant"
+
+
+def check_parameters(what, names, given: dict) -> None:
+    """Raise ValueError unless `given` holds exactly the parameters `names`.
+
+    The message names the expected, missing and unexpected parameters.
+    """
+    if given.keys() != set(names):
+        missing = [k for k in names if k not in given]
+        unexpected = [k for k in given if k not in names]
+        raise ValueError(f"{what} takes {names}: missing {missing}, unexpected {unexpected}")

@@ -4,10 +4,11 @@ Closed forms for the generic dihedral quintic family, the Brumer and Darmon
 quintics, the simplest cubic and quartic families, and the substitution and
 resultant identities connecting them.  Each family's coefficients are written
 once, in a function that works over any commutative ring: the public
-constructors evaluate it at rationals, and the identity checks evaluate the
-same function at MultiPoly generators (formal check in the free parameters)
-or at rationals (exact specialized check).  The substitution checks compare
-coefficient by coefficient; the Gras check takes a resultant.
+constructors evaluate it at rationals through the FAMILIES table, and the
+identity checks evaluate the same function at MultiPoly generators (formal
+check in the free parameters) or at rationals (exact specialized check).  The
+substitution checks compare coefficient by coefficient; the Gras check takes a
+resultant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError
+from .errors import InvariantError, check_parameters
 from .fields import QQ
 from .funcfield import FunctionField, RatFunc
 from .multipoly import MultiPoly, MultiPolyRing
@@ -70,48 +71,66 @@ def _gras_coeffs(t):
     return [1, t, -6, -t, 1]
 
 
+# Each family by name: its coefficient function, the parameter names in the
+# order that function takes them, and the polynomial's variable.
+FAMILIES = {
+    "pncl5": (_pncl5_coeffs, ("n", "c"), "x"),
+    "brumer": (_brumer_coeffs, ("s", "u"), "x"),
+    "darmon": (_darmon_coeffs, ("S", "T"), "x"),
+    "shanks": (_shanks_coeffs, ("t",), "X"),
+    "ptilde3": (_ptilde3_coeffs, ("u", "v", "n"), "x"),
+    "ptilde4": (_ptilde4_coeffs, ("n", "c"), "x"),
+    "gras": (_gras_coeffs, ("t",), "X"),
+}
+
+
+def family_polynomial(name, params: dict) -> FamilyPolynomial:
+    """The member of family `name` at `params`, checked against FAMILIES once.
+
+    The parameters must be exactly the family's; they are kept as rationals
+    in the table's order.
+    """
+    if name not in FAMILIES:
+        raise ValueError(f"no family {name!r} in {sorted(FAMILIES)}")
+    coeffs, names, var = FAMILIES[name]
+    check_parameters(f"family {name}", names, params)
+    values = {k: Fraction(params[k]) for k in names}
+    return FamilyPolynomial(name, values, UniPoly(QQ, coeffs(*values.values()), var))
+
+
 def p_ncl5(n, c) -> FamilyPolynomial:
     """x^5 - nx^4 + (c^3+2nc-c^2-c)x^3 - (c^3+nc^2-3c^2)x^2 + (c^4-3c^3)x + c^4."""
-    n, c = Fraction(n), Fraction(c)
-    return FamilyPolynomial("pncl5", {"n": n, "c": c}, UniPoly(QQ, _pncl5_coeffs(n, c)))
+    return family_polynomial("pncl5", {"n": n, "c": c})
 
 
 def brumer(s, u) -> FamilyPolynomial:
     """x^5 + (s-3)x^4 + (u-s+3)x^3 + (s^2-s-2u-1)x^2 + ux + s."""
-    s, u = Fraction(s), Fraction(u)
-    return FamilyPolynomial("brumer", {"s": s, "u": u}, UniPoly(QQ, _brumer_coeffs(s, u)))
+    return family_polynomial("brumer", {"s": s, "u": u})
 
 
 def darmon(S, T) -> FamilyPolynomial:
     """x^5 - Sx^4 + (T+S+5)x^3 - (S^2+S-2T-5)x^2 + (T+2S+5)x - (S+3)."""
-    S, T = Fraction(S), Fraction(T)
-    return FamilyPolynomial("darmon", {"S": S, "T": T}, UniPoly(QQ, _darmon_coeffs(S, T)))
+    return family_polynomial("darmon", {"S": S, "T": T})
 
 
 def shanks_cubic(t) -> FamilyPolynomial:
     """X^3 - tX^2 - (t+3)X - 1, the simplest cubic family."""
-    t = Fraction(t)
-    return FamilyPolynomial("shanks", {"t": t}, UniPoly(QQ, _shanks_coeffs(t), "X"))
+    return family_polynomial("shanks", {"t": t})
 
 
 def ptilde_cubic(u, v, n) -> FamilyPolynomial:
     """x^3 + ux^2 - nx + v."""
-    u, v, n = Fraction(u), Fraction(v), Fraction(n)
-    return FamilyPolynomial(
-        "ptilde3", {"u": u, "v": v, "n": n}, UniPoly(QQ, _ptilde3_coeffs(u, v, n))
-    )
+    return family_polynomial("ptilde3", {"u": u, "v": v, "n": n})
 
 
 def ptilde_quartic(n, c) -> FamilyPolynomial:
     """x^4 - 2x^3 + (1-n)x^2 + nx - c."""
-    n, c = Fraction(n), Fraction(c)
-    return FamilyPolynomial("ptilde4", {"n": n, "c": c}, UniPoly(QQ, _ptilde4_coeffs(n, c)))
+    return family_polynomial("ptilde4", {"n": n, "c": c})
 
 
 def gras_quartic(t) -> FamilyPolynomial:
     """X^4 - tX^3 - 6X^2 + tX + 1, the simplest quartic family."""
-    t = Fraction(t)
-    return FamilyPolynomial("gras", {"t": t}, UniPoly(QQ, _gras_coeffs(t), "X"))
+    return family_polynomial("gras", {"t": t})
 
 
 # ---------------------------------------------------------------------------

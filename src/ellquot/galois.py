@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from .factor import factor_mod_p, factor_over_Q, primes, rational_roots
+from .families import FamilyPolynomial
 from .fields import QQ, is_square
 from .intpoly import integer_model
 from .poly import UniPoly, discriminant
@@ -176,23 +177,17 @@ def _sextic_group(histogram):
     return "other", "sampled"
 
 
-def cyclic_from_fiber(inp, prime_budget: int = DEFAULT_PRIME_BUDGET):
+def cyclic_from_fiber(cert, prime_budget: int = DEFAULT_PRIME_BUDGET):
     """(FamilyPolynomial, GaloisReport) for the fiber below a certified point.
 
-    The certificate must be valid.  For l = 3, 5, 6 the fiber is then an
-    irreducible degree-l polynomial whose Galois group is cyclic of order l,
-    the construction itself serving as the exactness source for l = 5, 6.
+    `cert` comes from `certify` and must be valid.  For l = 3, 5, 6 the fiber
+    is then an irreducible degree-l polynomial whose Galois group is cyclic of
+    order l, the construction itself serving as the exactness source for
+    l = 5, 6.
     The published l = 4 model is a quadratic twist of the quotient and its
     fibers split; the report then states the splitting instead (the cyclic
     quartics of this circle of ideas are the Gras resultant family).
     """
-    from .constructions import ConstructionInput, certify
-    from .families import FamilyPolynomial
-
-    if isinstance(inp, ConstructionInput):
-        cert = certify(inp)
-    else:
-        cert = inp
     if not cert.valid:
         raise ValueError(
             f"certificate is not valid ({cert.excluded_reason or 'checks failed'})"

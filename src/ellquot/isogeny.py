@@ -27,6 +27,7 @@ from .errors import (
     OffCurveError,
     TorsionOrderError,
 )
+from .factor import rational_roots
 from .fields import QQ, rational_sqrt
 from .poly import UniPoly
 
@@ -206,8 +207,6 @@ def has_rational_preimage(isog: IsogenyData, Q: CurvePoint):
     Rational roots of the fiber polynomial below Q are lifted back to domain
     points and pushed through the isogeny, so the verdict is exact.
     """
-    from .factor import rational_roots
-
     if Q.inf:
         raise ValueError("the preimage test needs an affine point")
     if not isog.codomain.contains(Q):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from ellquot import cli
+from ellquot import cli, families
 from ellquot.cli import main
 
 
@@ -87,6 +87,10 @@ def test_construct_missing_parameter_domain_error(capsys):
         ("family --l 3 --a1 0", "missing ['a3']"),
         ("quotient --l 5 --symbolic --c 2", "unexpected ['c']"),
         ("quotient --l 4 --a1 0 --a3 6", "missing ['c'], unexpected ['a1', 'a3']"),
+        ("polyfam --family shanks --t 2 --n 5", "unexpected ['n']"),
+        ("galois --family pncl5 --n 1 --c 2 --S 4", "unexpected ['S']"),
+        ("galois --family pncl5 --n 1", "missing ['c']"),
+        ("galois --poly x^3-2 --t 1", "unexpected ['t']"),
     ],
 )
 def test_missing_or_foreign_parameter_flag_is_a_domain_error(capsys, monkeypatch, argv, named):
@@ -95,6 +99,10 @@ def test_missing_or_foreign_parameter_flag_is_a_domain_error(capsys, monkeypatch
 
     monkeypatch.setattr(cli, "certify", fail)
     monkeypatch.setattr(cli, "kubert_curve", fail)
+    monkeypatch.setattr(cli, "galois_group", fail)
+    monkeypatch.setattr(cli, "poly_from_ascii", fail)
+    # family_polynomial checks its flags before it builds the polynomial
+    monkeypatch.setattr(families, "UniPoly", fail)
     code, out = run_cli(capsys, *argv.split())
     assert code == 2
     doc = json.loads(out)

@@ -110,6 +110,42 @@ def test_shanks_family():
     assert ptilde_cubic(-2, -1, 5).poly == x ** 3 - 2 * x ** 2 - 5 * x - 1
 
 
+PUBLIC_CONSTRUCTORS = {
+    "pncl5": p_ncl5,
+    "brumer": brumer,
+    "darmon": darmon,
+    "shanks": shanks_cubic,
+    "ptilde3": ptilde_cubic,
+    "ptilde4": ptilde_quartic,
+    "gras": gras_quartic,
+}
+
+
+def test_public_constructors_follow_the_family_table():
+    assert PUBLIC_CONSTRUCTORS.keys() == families.FAMILIES.keys()
+    for name, (coeffs, names, var) in families.FAMILIES.items():
+        values = [Fraction(k + 2, 3) for k in range(len(names))]
+        fam = PUBLIC_CONSTRUCTORS[name](*values)
+        assert fam.family == name
+        assert list(fam.parameters.items()) == list(zip(names, values))
+        assert fam.poly.var == var
+        assert fam.poly.degree == len(coeffs(*values)) - 1
+
+
+@pytest.mark.parametrize(
+    "name, params, named",
+    [
+        ("cubic", {"t": 1}, "no family 'cubic'"),
+        ("pncl5", {"n": 1}, "missing ['c']"),
+        ("shanks", {"t": 2, "n": 5}, "unexpected ['n']"),
+    ],
+)
+def test_family_polynomial_rejects_a_name_or_parameter_off_the_table(name, params, named):
+    with pytest.raises(ValueError) as info:
+        families.family_polynomial(name, params)
+    assert named in str(info.value)
+
+
 def test_gras_family():
     assert gras_quartic(0).poly == X ** 4 - 6 * X ** 2 + 1
     assert ptilde_quartic(2, 3).poly == x ** 4 - 2 * x ** 3 - x ** 2 + 2 * x - 3

@@ -7,6 +7,7 @@ from ellquot import (
     ConstructionInput,
     QQ,
     UniPoly,
+    certify,
     cyclic_from_fiber,
     frobenius_patterns,
     galois_group,
@@ -116,7 +117,7 @@ def test_translation_invariance():
 
 
 def test_cyclic_from_fiber_l5():
-    fam, rep = cyclic_from_fiber(ConstructionInput(5, row=1, params={"z": 2}))
+    fam, rep = cyclic_from_fiber(certify(ConstructionInput(5, row=1, params={"z": 2})))
     assert rep.group_label == "C5"
     assert rep.certainty == "exact"
     assert rep.irreducible and rep.disc_is_square
@@ -125,7 +126,7 @@ def test_cyclic_from_fiber_l5():
 
 
 def test_cyclic_from_fiber_l6():
-    fam, rep = cyclic_from_fiber(ConstructionInput(6, params={"v0": 1, "z": 16}))
+    fam, rep = cyclic_from_fiber(certify(ConstructionInput(6, params={"v0": 1, "z": 16})))
     assert rep.group_label == "C6"
     assert rep.certainty == "exact"
     assert (6,) in rep.pattern_histogram
@@ -134,14 +135,14 @@ def test_cyclic_from_fiber_l6():
 def test_cyclic_from_fiber_l4_reports_split():
     # the published l=4 model is a twist; its fibers split and no cyclic
     # quartic arises (see the Gras family for the genuine C4 route)
-    fam, rep = cyclic_from_fiber(ConstructionInput(4, params={"u": 1, "v": 1}))
+    fam, rep = cyclic_from_fiber(certify(ConstructionInput(4, params={"u": 1, "v": 1})))
     assert not rep.irreducible
     assert rep.group_label == "other"
 
 
 def test_cyclic_from_fiber_rejects_invalid_certificates():
     with pytest.raises(ValueError):
-        cyclic_from_fiber(ConstructionInput(3, params={"a1": 0, "u1": 1, "z": 5}))
+        cyclic_from_fiber(certify(ConstructionInput(3, params={"a1": 0, "u1": 1, "z": 5})))
 
 
 def test_pncl5_sample_is_dihedral_consistent():
@@ -163,7 +164,7 @@ def test_pncl5_sample_is_dihedral_consistent():
 
 def test_certainty_labels_honest():
     # an unbacked cyclic-looking quintic stays "sampled"
-    fam, rep = cyclic_from_fiber(ConstructionInput(5, row=1, params={"z": 3}))
+    fam, rep = cyclic_from_fiber(certify(ConstructionInput(5, row=1, params={"z": 3})))
     unbacked = galois_group(fam.poly)
     assert unbacked.group_label == "C5"
     assert unbacked.certainty == "sampled"
