@@ -182,8 +182,7 @@ def cmd_polyfam(args) -> int:
 def _sweep_one(task):
     l, seed, index, as_printed = task
     rng = random.Random(f"{seed}-sweep-{l}-{index}")
-    cert = certify(draw_input(l, rng, as_printed=as_printed))
-    return index, certificate_to_json(cert)
+    return certificate_to_json(certify(draw_input(l, rng, as_printed=as_printed)))
 
 
 def cmd_sweep(args) -> int:
@@ -197,11 +196,11 @@ def cmd_sweep(args) -> int:
         import multiprocessing
 
         with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_sweep_one, tasks)
+            for payload in pool.imap(_sweep_one, tasks):
+                print(json.dumps(payload))
     else:
-        results = [_sweep_one(t) for t in tasks]
-    for _, payload in sorted(results, key=lambda r: r[0]):
-        print(json.dumps(payload))
+        for task in tasks:
+            print(json.dumps(_sweep_one(task)))
     return 0
 
 

@@ -34,13 +34,12 @@ from .errors import (
     SingularCurveError,
     check_parameters,
 )
-from .factor import rational_roots
 from .fields import rational_sqrt
 from .isogeny import (
     FiberPolynomial,
     IsogenyData,
     has_rational_preimage,
-    lift_x,
+    preimage_x,
     velu_quotient,
 )
 from .multipoly import MultiPoly
@@ -117,8 +116,6 @@ class QuotientModel:
 
     l: int
     parameter: tuple
-    domain: WeierstrassCurve
-    torsion_point: CurvePoint
     isogeny: IsogenyData
     curve: WeierstrassCurve
     scale: object
@@ -154,7 +151,7 @@ def quotient_model(l, *params) -> QuotientModel:
         model = WeierstrassCurve(F, F.one, F(c), F(c), F.zero, F.zero)
         scale = -F.one / F(4)
         shift = -(F(c) + F(Fraction(7, 16))) / F(4)
-    return QuotientModel(l, params, E, A, isog, model, scale, shift, l == 4)
+    return QuotientModel(l, params, isog, model, scale, shift, l == 4)
 
 
 # ---------------------------------------------------------------------------
@@ -436,24 +433,23 @@ def _no_rational_preimage(model: QuotientModel, x, yb):
     """
     x_velu = model.from_model_x(x)
     if model.twisted:
-        for x0 in sorted(set(rational_roots(model.isogeny.fiber(x_velu)))):
-            lifts = lift_x(model.domain, x0)
-            if lifts:
-                return False, lifts[0]
-        return True, None
+        witness = preimage_x(model.isogeny, x_velu)
+        return witness is None, witness
     Q = model.isogeny.codomain.from_b_point(x_velu, yb)
     found, witness = has_rational_preimage(model.isogeny, Q)
     return not found, witness
 
 
-def _cyclic_fiber(model: QuotientModel, point: CurvePoint) -> FiberPolynomial | None:
+def _cyclic_fiber(model: QuotientModel, point: CurvePoint) -> FiberPolynomial:
     """The fiber polynomial feeding the cyclic-field application.
 
     For odd l this is the fiber below the point itself.  For even l the
     published parametrizations force the linear factor of f to be a square,
     which places the point in the image of the degree-2 stage of the isogeny
     and splits its own fiber; the cyclic field is carried by the fiber below
-    point + T, where T is the rational 2-torsion point of the model.
+    point + T, where T is the rational 2-torsion point of the model; point + T
+    is affine, because certify has already excluded the 2-torsion points
+    (y_b = 0).
     """
     F = model.curve
     if model.l in (3, 5):
@@ -461,16 +457,12 @@ def _cyclic_fiber(model: QuotientModel, point: CurvePoint) -> FiberPolynomial | 
     else:
         xT = _rational_two_torsion_x(model)
         T = F.from_b_point(xT, F.field.zero)
-        shifted = F.add(point, T)
-        if shifted.inf:
-            return None
-        base = shifted.x
+        base = F.add(point, T).x
     x_velu = model.from_model_x(base)
     # base_point_x is in the model chart for the twisted l = 4, else the Velu one
     return FiberPolynomial(
         poly=model.isogeny.fiber(x_velu),
         base_point_x=base if model.twisted else x_velu,
-        isogeny=model.isogeny,
     )
 
 

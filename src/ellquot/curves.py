@@ -18,6 +18,7 @@ from .errors import (
     TorsionOrderError,
 )
 from .fields import QQ
+from .funcfield import FunctionField, RatFunc
 
 MAZUR_TORSION_BOUND = 12
 
@@ -321,8 +322,6 @@ def kubert_curve(l: int, *params):
 
 def _field_of(params):
     """Pick the common field of the parameters (Q unless one is symbolic)."""
-    from .funcfield import FunctionField, RatFunc
-
     for p in params:
         if isinstance(p, RatFunc):
             field = FunctionField(p.num.var)

@@ -67,7 +67,6 @@ class FiberPolynomial:
 
     poly: UniPoly
     base_point_x: object
-    isogeny: IsogenyData = dataclass_field(repr=False, default=None)
 
 
 def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData:
@@ -145,7 +144,7 @@ def push_point(isog: IsogenyData, P: CurvePoint) -> CurvePoint:
     """phi(P), via the coordinate sums x + sum(x(P+Q) - x(Q)) over the kernel.
 
     Kernel points and infinity map to infinity; images are verified to sit on
-    the codomain and to agree with the stored rational x-map.
+    the codomain.
     """
     E = isog.domain
     if P.inf:
@@ -174,45 +173,47 @@ def fiber_polynomial(isog: IsogenyData, xQ) -> FiberPolynomial:
     """
     F = isog.domain.field
     xQ = F(xQ)
-    if F == QQ and rational_sqrt(_y_discriminant(isog.codomain, xQ)) is None:
+    if F == QQ and rational_sqrt(isog.codomain.b_rhs(xQ)) is None:
         raise DegenerateParameterError(
             f"x = {xQ} is not the x-coordinate of a rational point on the codomain"
         )
-    return FiberPolynomial(poly=isog.fiber(xQ), base_point_x=xQ, isogeny=isog)
-
-
-def _y_discriminant(curve: WeierstrassCurve, x):
-    """Discriminant of the curve equation as a quadratic in y at the given x."""
-    a1, a2, a3, a4, a6 = curve.a_invariants()
-    rhs = x ** 3 + a2 * x * x + a4 * x + a6
-    lin = a1 * x + a3
-    return lin * lin + 4 * rhs
+    return FiberPolynomial(poly=isog.fiber(xQ), base_point_x=xQ)
 
 
 def lift_x(curve: WeierstrassCurve, x):
-    """Rational points of a curve over Q with the given x-coordinate."""
-    x = curve.field(x)
-    disc = _y_discriminant(curve, x)
-    root = rational_sqrt(disc)
+    """Rational points of a curve over Q with the given x-coordinate, sorted by y."""
+    root = rational_sqrt(curve.b_rhs(x))
     if root is None:
         return []
-    lin = curve.a1 * x + curve.a3
-    ys = {(-lin + root) / 2, (-lin - root) / 2}
-    return [CurvePoint.affine(x, y) for y in sorted(ys)]
+    return [curve.from_b_point(x, yb) for yb in sorted({root, -root})]
+
+
+def preimage_x(isog: IsogenyData, x):
+    """A rational domain point whose image has x-coordinate x, or None.
+
+    It lies above the smallest rational root of the fiber below x that lifts
+    to a rational point, and is the lift with the smaller y.
+    """
+    for x0 in sorted(set(rational_roots(isog.fiber(x)))):
+        lifts = lift_x(isog.domain, x0)
+        if lifts:
+            return lifts[0]
+    return None
 
 
 def has_rational_preimage(isog: IsogenyData, Q: CurvePoint):
     """(found, witness): does some rational P on the domain push to Q?
 
-    Rational roots of the fiber polynomial below Q are lifted back to domain
-    points and pushed through the isogeny, so the verdict is exact.
+    The verdict is exact.  A root x0 of the fiber below Q is a root of
+    num - x_Q * den with den(x0) != 0, as num and den are coprime, so a
+    rational lift P of x0 has x(phi(P)) = x_Q, that is phi(P) = +-Q; and
+    phi(-P) = -phi(P), so P or -P pushes to Q.
     """
     if Q.inf:
         raise ValueError("the preimage test needs an affine point")
     if not isog.codomain.contains(Q):
         raise OffCurveError(f"{Q!r} is not on the isogeny codomain")
-    for x0 in sorted(set(rational_roots(isog.fiber(Q.x)))):
-        for P in lift_x(isog.domain, x0):
-            if push_point(isog, P) == Q:
-                return True, P
-    return False, None
+    P = preimage_x(isog, Q.x)
+    if P is None:
+        return False, None
+    return True, P if push_point(isog, P) == Q else isog.domain.neg(P)

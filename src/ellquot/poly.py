@@ -162,8 +162,8 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def map_coeffs(self, fn, field=None):
-        return UniPoly(field or self.field, [fn(c) for c in self.coeffs], self.var)
+    def map_coeffs(self, fn):
+        return UniPoly(self.field, [fn(c) for c in self.coeffs], self.var)
 
     def divmod(self, other: "UniPoly"):
         """Quotient and remainder; requires an invertible leading coefficient."""
@@ -265,7 +265,7 @@ def prem(f: UniPoly, g: UniPoly) -> UniPoly:
         r = r * d - (g * r.lc).shift(shift)
         e -= 1
     if e > 0:
-        r = r * (d ** e if hasattr(d, "__pow__") else d)
+        r = r * d ** e
     return r
 
 

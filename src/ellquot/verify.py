@@ -39,7 +39,7 @@ from .families import (
 )
 from .fields import is_square
 from .funcfield import FunctionField
-from .galois import CYCLIC_PATTERNS, frobenius_patterns, galois_group
+from .galois import CYCLIC_PATTERNS, DEFAULT_PRIME_BUDGET, frobenius_patterns, galois_group
 from .poly import discriminant
 
 
@@ -209,7 +209,7 @@ def ac5(seed, as_printed=False, certificates_out=None):
     return all_pass, detail
 
 
-def ac6(certificates, prime_budget=60):
+def ac6(certificates, prime_budget=DEFAULT_PRIME_BUDGET):
     """Fiber irreducibility and cyclic Frobenius patterns per valid certificate.
 
     For l=4 the published quotient model is a quadratic twist of the true
@@ -299,7 +299,7 @@ def ac10():
     )
 
 
-def ac11(seed, prime_budget=60):
+def ac11(seed, prime_budget=DEFAULT_PRIME_BUDGET):
     """20 seeded (n, c): irreducible, square disc, a (1,2,2) pattern sampled.
 
     n enters the quintic family linearly, so every rational x0 carves out a
@@ -327,7 +327,7 @@ def ac11(seed, prime_budget=60):
     return ok, f"{20 - len(exceptions)}/20 dihedral-consistent; exceptions: {exceptions}"
 
 
-def run_battery(seed=0, prime_budget=60, as_printed=False):
+def run_battery(seed=0, prime_budget=DEFAULT_PRIME_BUDGET, as_printed=False):
     """Execute AC-1..AC-12 and return the summary structure."""
     start = time.perf_counter()
     results = []

@@ -6,6 +6,7 @@ import pytest
 
 from ellquot import cli, families
 from ellquot.cli import main
+from ellquot.errors import InvariantError
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +146,25 @@ def test_sweep_parallel_matches_serial(capsys):
     code, serial = run_cli(capsys, "sweep", "--l", "4", "--count", "4", "--seed", "3")
     code, parallel = run_cli(capsys, "sweep", "--l", "4", "--count", "4", "--seed", "3", "--jobs", "2")
     assert serial == parallel
+
+
+def test_sweep_prints_each_certificate_as_it_is_made(capsys, monkeypatch):
+    calls = []
+    certify = cli.certify
+
+    def certify_then_fail(inp):
+        calls.append(inp)
+        if len(calls) == 3:
+            raise InvariantError("third draw fails")
+        return certify(inp)
+
+    monkeypatch.setattr(cli, "certify", certify_then_fail)
+    code, out = run_cli(capsys, "sweep", "--l", "5", "--count", "5")
+    assert code == 2
+    *certificates, error = out.strip().splitlines()
+    assert len(certificates) == 2
+    assert all("valid" in json.loads(line) for line in certificates)
+    assert json.loads(error)["payload"]["message"] == "third draw fails"
 
 
 def test_quotient_numeric_l3(capsys):

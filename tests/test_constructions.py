@@ -1,8 +1,10 @@
+import gc
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -207,6 +209,28 @@ class TestCertify:
         image = push_point(isog, cert.witness)
         assert E.contains(cert.witness)
         assert image.x == 7
+
+    def test_certificates_keep_no_isogeny_alive(self, monkeypatch):
+        built = []
+        velu_quotient = constructions.velu_quotient
+
+        def spy(*args):
+            isog = velu_quotient(*args)
+            built.append(weakref.ref(isog))
+            return isog
+
+        monkeypatch.setattr(constructions, "velu_quotient", spy)
+        certs = [
+            certify(ConstructionInput(4, params={"u": 1, "v": 1})),
+            certify(ConstructionInput(5, row=1, params={"z": 2})),
+            certify(ConstructionInput(6, params={"v0": 1, "z": 16})),
+            certify(ConstructionInput(3, params={"a1": 0, "u1": 1, "z": 5})),
+        ]
+        gc.collect()
+        assert [cert.valid for cert in certs] == [True, True, True, False]
+        assert all(cert.fiber is not None for cert in certs)
+        assert len(built) == 4
+        assert [ref() for ref in built] == [None] * 4
 
     def test_as_printed_row1_off_curve(self):
         cert = certify(ConstructionInput(5, row=1, params={"z": 1}, as_printed=True))

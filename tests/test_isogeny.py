@@ -27,6 +27,7 @@ from ellquot import (
     lift_x,
     push_point,
     rational_roots,
+    rational_sqrt,
     velu_quotient,
 )
 
@@ -190,9 +191,34 @@ def test_has_rational_preimage_for_pushed_points():
     isog = velu_quotient(curve, A, 3)
     P = CurvePoint.affine(Fraction(3), Fraction(3))
     Q = push_point(isog, P)
-    found, witness = has_rational_preimage(isog, Q)
-    assert found
-    assert push_point(isog, witness) == Q
+    minus_Q = isog.codomain.neg(Q)
+    assert minus_Q != Q
+    # Q and -Q share their fiber, so one of the two witnesses takes the sign step
+    for target in (Q, minus_Q):
+        found, witness = has_rational_preimage(isog, target)
+        assert found
+        assert push_point(isog, witness) == target
+
+
+def test_lift_x_gives_both_points_sorted_by_y():
+    rng = random.Random(43)
+    checked = rootless = 0
+    for l in (4, 5, 6, 7, 8, 9, 10, 12):
+        for _ in range(3):
+            try:
+                curve, A = kubert_curve(l, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            except EllquotError:
+                continue
+            for k in range(1, l):
+                P = curve.scalar_mul(k, A)
+                minus_P = curve.neg(P)
+                want = [P] if P == minus_P else sorted((P, minus_P), key=lambda R: R.y)
+                assert lift_x(curve, P.x) == want
+                checked += 1
+            x = next(x for x in range(1, 100) if rational_sqrt(curve.b_rhs(x)) is None)
+            assert lift_x(curve, x) == []
+            rootless += 1
+    assert checked >= 100 and rootless >= 15
 
 
 def test_has_rational_preimage_false_for_l5_fixture():
