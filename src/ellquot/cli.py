@@ -33,6 +33,11 @@ from .jsonio import (
 )
 from .verify import draw_input, run_battery
 
+# sweep builds its whole task list before the first certificate, so --count
+# is capped; this many tasks hold about 11 MB
+MAX_SWEEP_COUNT = 100_000
+
+
 def _flags(name_tuples):
     """Every parameter name of a library table's name tuples, once, in table order."""
     return tuple(dict.fromkeys(k for names in name_tuples for k in names))
@@ -186,8 +191,8 @@ def _sweep_one(task):
 
 
 def cmd_sweep(args) -> int:
-    if args.count < 0:
-        raise EllquotError(f"--count must be >= 0, got {args.count}")
+    if not 0 <= args.count <= MAX_SWEEP_COUNT:
+        raise EllquotError(f"--count must be between 0 and {MAX_SWEEP_COUNT}, got {args.count}")
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise EllquotError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")

@@ -1,14 +1,14 @@
-"""Polynomial factorization over GF(p) and over Q, plus rational roots.
+"""Polynomial factorization modulo a prime p and over Q, plus rational roots.
 
 This module holds the algorithms only; all coefficient arithmetic runs on the
-integer-list kernel in ``intpoly``.  Over GF(p): squarefree decomposition,
-distinct-degree and equal-degree (Cantor-Zassenhaus) splitting, with results
-wrapped back into UniPoly over PrimeField.  Each squarefree part f gets one
-Frobenius matrix, the rows x^(i*p) mod f built from a single x^p mod f (von
-zur Gathen & Shoup 1992, "Computing Frobenius maps and factoring
-polynomials"), so that h^p mod f is one matrix-vector product instead of a
-modular exponentiation.  The distinct-degree step takes x^(p^d) from it, and
-so does the equal-degree step for odd p, through
+integer-list kernel in ``intpoly``.  Modulo p: squarefree decomposition,
+distinct-degree and equal-degree (Cantor-Zassenhaus) splitting, with factors
+returned as tuples of ints.  Each squarefree part f gets one Frobenius
+matrix, the rows x^(i*p) mod f built from a single x^p mod f (von zur Gathen
+& Shoup 1992, "Computing Frobenius maps and factoring polynomials"), so that
+h^p mod f is one matrix-vector product instead of a modular exponentiation.
+The distinct-degree step takes x^(p^d) from it, and so does the equal-degree
+step for odd p, through
 h^((p^d-1)/2) = (h * h^p * ... * h^(p^(d-1)))^((p-1)/2).
 
 Over Q: Yun's squarefree decomposition of the primitive integer model,
@@ -28,10 +28,14 @@ from fractions import Fraction
 
 from . import intpoly as ip
 from .errors import ZeroPolynomialError
-from .fields import QQ, PrimeField
+from .fields import QQ
 from .poly import UniPoly
 
 FACTOR_DEGREE_CAP = 16
+# Miller-Rabin with the first 13 prime bases proves primality below psi_13
+# (Sorenson & Webster 2017, "Strong pseudoprimes to twelve prime bases")
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
 
 
 def primes():
@@ -46,6 +50,36 @@ def primes():
         n += 2
 
 
+def is_probable_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, a proof for every n < PRIMALITY_BOUND.
+
+    Raises ValueError for n >= PRIMALITY_BOUND, where the bases prove nothing.
+    """
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"{n} is not below the primality bound {PRIMALITY_BOUND}")
+    if n < 2:
+        return False
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _squarefree_primes(f, candidates):
     """(p, f mod p) for each p in candidates keeping deg f and f squarefree mod p."""
     for p in candidates:
@@ -55,7 +89,7 @@ def _squarefree_primes(f, candidates):
 
 
 # ---------------------------------------------------------------------------
-# Factorization over GF(p)
+# Factorization modulo p
 
 
 def _squarefree_mod_p(f, p):
@@ -153,7 +187,7 @@ def _equal_degree(f, d, p, rng, rows):
 
 
 def _factor_mod(f, p):
-    """Complete factorization of monic f over GF(p): [(factor, multiplicity)], sorted."""
+    """Complete factorization of monic f mod p: [(factor, multiplicity)], sorted."""
     rng = random.Random(hash((p, tuple(f))))
     out = []
     for part, mult in _squarefree_mod_p(f, p):
@@ -171,16 +205,14 @@ def _factor_mod(f, p):
 
 @dataclass
 class FactorList:
-    """unit * prod(factor^multiplicity) reproduces the factored input."""
+    """A factorization over Q: unit * prod(factor^multiplicity) is the input."""
 
-    unit: object
+    unit: Fraction
     factors: list
 
     def expand(self) -> UniPoly:
-        first = self.factors[0][0] if self.factors else None
-        if first is None:
-            raise ValueError("empty factorization cannot be expanded")
-        out = UniPoly.constant(first.field, self.unit, first.var)
+        var = self.factors[0][0].var if self.factors else "x"
+        out = UniPoly.constant(QQ, self.unit, var)
         for f, m in self.factors:
             out = out * f ** m
         return out
@@ -197,38 +229,31 @@ class FactorList:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
 
-def factor_mod_p(f: UniPoly, p: int | None = None) -> FactorList:
-    """Factor f into monic irreducibles over GF(p).
+def factor_mod_p(f: UniPoly, p: int) -> list:
+    """Factor f over Q modulo the prime p < PRIMALITY_BOUND.
 
-    f may already live over a PrimeField (p optional and checked), or over Q
-    with p given, in which case it is reduced first.  p must be prime and must
-    not divide the leading coefficient.
+    Returns the sorted list [(g, multiplicity)] whose product is f mod p up to
+    its leading coefficient.  Each g is a monic irreducible factor mod p, a
+    tuple of ints in [0, p) with the constant term first; a nonzero constant
+    has no factors.  p must not divide the leading coefficient of f, nor the
+    denominator of any coefficient (ZeroDivisionError).
     """
-    if isinstance(f.field, PrimeField):
-        if p is not None and p != f.field.p:
-            raise ValueError("p does not match the coefficient field")
-        field = f.field
-        p = field.p
-        ints = [c.value for c in f.coeffs]
-    else:
-        if p is None:
-            raise ValueError("p is required for polynomials over Q")
-        if f.field != QQ:
-            raise TypeError(f"cannot reduce coefficients in {f.field!r} mod {p}")
-        field = PrimeField(p)  # the primality check
-        ints = []
-        for c in f.coeffs:
-            if c.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
-            ints.append(c.numerator * pow(c.denominator, -1, p))
-    ints = ip.trim(ints, p)
-    if not ints:
+    if f.field != QQ:
+        raise ValueError("factor_mod_p needs rational coefficients")
+    if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
+    if not is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    ints = []
+    for c in f.coeffs:
+        if c.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator divisible by {p}")
+        ints.append(c.numerator * pow(c.denominator, -1, p) % p)
+    if ints[-1] == 0:
+        raise ValueError(f"{p} divides the leading coefficient")
     if len(ints) == 1:
-        return FactorList(unit=field(ints[0]), factors=[])
-    facs = _factor_mod(ip.monic(ints, p), p)
-    out = [(UniPoly(field, [field(c) for c in g], f.var), m) for g, m in facs]
-    return FactorList(unit=field(ints[-1]), factors=out)
+        return []
+    return [(tuple(g), m) for g, m in _factor_mod(ip.monic(ints, p), p)]
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def _sample(f: UniPoly, prime_budget):
             break
         if bad % p == 0:
             continue
-        pattern = factor_mod_p(fz, p).degrees()
+        pattern = tuple(sorted(len(g) - 1 for g, m in factor_mod_p(fz, p) for _ in range(m)))
         histogram[pattern] = histogram.get(pattern, 0) + 1
         used += 1
     return unit, d, histogram

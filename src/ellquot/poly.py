@@ -1,8 +1,8 @@
 """Dense univariate polynomials over a pluggable coefficient field.
 
 Coefficients are stored lowest degree first with no trailing zeros.  The same
-class serves Q, GF(p), rational function fields, and (for resultants only)
-multivariate polynomial rings that provide ``divexact``.  Integer-coefficient
+class serves Q, rational function fields Q(c), and (for resultants only)
+multivariate polynomial rings that provide ``divexact``.  Integer and modular
 work is not done here: the gcd over Q hands the primitive integer models of
 its operands to the int-list kernel in ``intpoly``, which is also what the
 factoring and Galois layers use.

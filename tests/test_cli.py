@@ -215,6 +215,16 @@ def test_sweep_rejects_out_of_range_count_and_jobs(capsys, monkeypatch, flags):
     assert json.loads(out)["status"] == "error"
 
 
+def test_sweep_count_above_the_cap_is_a_domain_error(capsys, monkeypatch):
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("a certificate was started")
+
+    monkeypatch.setattr(cli, "_sweep_one", no_certificate)
+    code, out = run_cli(capsys, "sweep", "--l", "5", "--count", str(cli.MAX_SWEEP_COUNT + 1))
+    assert code == 2
+    assert f"between 0 and {cli.MAX_SWEEP_COUNT}" in json.loads(out)["payload"]["message"]
+
+
 def test_verify_paper_prime_budget_above_the_cap_is_a_domain_error(capsys, monkeypatch):
     def no_battery(*args, **kwargs):
         raise AssertionError("the battery was started")

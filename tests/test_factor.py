@@ -1,55 +1,129 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from ellquot import (
-    PrimeField,
     QQ,
     UniPoly,
+    ZeroPolynomialError,
     discriminant,
     factor_mod_p,
     factor_over_Q,
     rational_roots,
 )
+from ellquot import intpoly as ip
+from ellquot.factor import PRIMALITY_BOUND, is_probable_prime
 
 from oracles import naive_rational_roots
 
 x = UniPoly.gen(QQ)
 
 
+def _expand_mod(factors, p):
+    """The product of the factors g^m mod p, as an int list."""
+    out = [1]
+    for g, m in factors:
+        for _ in range(m):
+            out = ip.mul(out, list(g), p)
+    return out
+
+
 def test_factor_mod_5_splits_x2_plus_1():
-    F5 = PrimeField(5)
-    x5 = UniPoly.gen(F5)
-    fl = factor_mod_p(x5 ** 2 + 1)
-    assert fl.degrees() == (1, 1)
-    assert fl.expand() == x5 ** 2 + 1
-    roots = sorted(-f.coeff(0).value % 5 for f, _ in fl.factors)
+    fl = factor_mod_p(x ** 2 + 1, 5)
+    assert fl == [((2, 1), 1), ((3, 1), 1)]
+    assert _expand_mod(fl, 5) == [1, 0, 1]
+    roots = sorted(-g[0] % 5 for g, _ in fl)
     assert roots == [2, 3]
 
 
 def test_factor_mod_3_irreducible():
-    fl = factor_mod_p(x ** 2 + 1, 3)
-    assert fl.is_irreducible
+    assert factor_mod_p(x ** 2 + 1, 3) == [((1, 0, 1), 1)]
 
 
 def test_factor_mod_5_fermat():
     fl = factor_mod_p(x ** 5 - x, 5)
-    assert fl.degrees() == (1, 1, 1, 1, 1)
+    assert fl == [((r, 1), 1) for r in range(5)]
 
 
 def test_factor_mod_p_handles_multiplicities_and_char_2():
-    F2 = PrimeField(2)
-    x2 = UniPoly.gen(F2)
-    f = (x2 + 1) ** 2 * (x2 ** 2 + x2 + 1)
-    fl = factor_mod_p(f)
-    assert fl.expand() == f
-    assert sorted(m for _, m in fl.factors) == [1, 2]
+    f = (x + 1) ** 2 * (x ** 2 + x + 1)
+    fl = factor_mod_p(f, 2)
+    assert fl == [((1, 1), 2), ((1, 1, 1), 1)]
+    assert _expand_mod(fl, 2) == ip.trim([int(c) for c in f.coeffs], 2)
+    assert sorted(m for _, m in fl) == [1, 2]
+
+
+def test_factor_mod_p_factors_times_the_leading_coefficient_give_f():
+    f = 3 * (x + 2) ** 3 * (x ** 2 + 2)
+    fl = factor_mod_p(f, 7)
+    assert fl == [((2, 1), 3), ((2, 0, 1), 1)]
+    assert ip.mul(_expand_mod(fl, 7), [3], 7) == ip.trim([int(c) for c in f.coeffs], 7)
+
+
+def test_factor_mod_p_reduces_rational_coefficients():
+    # 1/2 is 3 mod 5, so x + 1/2 is x + 3 and x^2 - 1/4 is (x + 2)(x + 3)
+    assert factor_mod_p(x + Fraction(1, 2), 5) == [((3, 1), 1)]
+    assert factor_mod_p(x ** 2 - Fraction(1, 4), 5) == [((2, 1), 1), ((3, 1), 1)]
+
+
+def test_factor_mod_p_rejects_a_denominator_divisible_by_p():
+    with pytest.raises(ZeroDivisionError):
+        factor_mod_p(x ** 2 + Fraction(1, 10), 5)
+
+
+def test_factor_mod_p_of_a_constant_has_no_factors():
+    assert factor_mod_p(UniPoly.constant(QQ, 4), 3) == []
+    with pytest.raises(ZeroPolynomialError):
+        factor_mod_p(UniPoly.zero(QQ), 3)
 
 
 def test_factor_mod_p_requires_prime():
     with pytest.raises(ValueError):
         factor_mod_p(x ** 2 + 1, 6)
+
+
+def test_factor_mod_p_rejects_p_dividing_the_leading_coefficient():
+    with pytest.raises(ValueError, match="divides the leading coefficient"):
+        factor_mod_p(2 * x ** 2 + x + 1, 2)
+    with pytest.raises(ValueError, match="divides the leading coefficient"):
+        factor_mod_p(Fraction(5, 3) * x + 1, 5)
+
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, r))
+
+
+def test_primality_is_proved_for_the_strong_pseudoprime_to_twelve_bases():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert all(_strong_probable_prime(PSI_12, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert not is_probable_prime(PSI_12)
+    with pytest.raises(ValueError, match="is not prime"):
+        factor_mod_p(x ** 2 + 2, PSI_12)
+
+
+def test_primality_is_decided_below_the_bound_and_refused_above_it():
+    assert is_probable_prime(2 ** 61 - 1)
+    assert not is_probable_prime(2 ** 67 - 1)  # 193707721 * 761838257287
+    assert not is_probable_prime(PRIMALITY_BOUND - 1)
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 1, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="primality bound"):
+            is_probable_prime(n)
+        with pytest.raises(ValueError, match="primality bound"):
+            factor_mod_p(x ** 2 + 2, n)
+
+
+def test_primality_agrees_with_trial_division():
+    small = [n for n in range(3000) if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(3000) if is_probable_prime(n)] == small
 
 
 def test_factor_over_Q_examples():
@@ -91,7 +165,7 @@ def test_factor_degrees_match_mod_p_when_p_good():
             if (d.numerator * d.denominator) % p == 0:
                 continue
             fl = factor_mod_p(f, p)
-            assert sum(fl.degrees()) == f.degree
+            assert sum((len(g) - 1) * m for g, m in fl) == f.degree
 
 
 def test_rational_roots_examples():

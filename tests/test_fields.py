@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellquot import PrimeField, QQ, is_square, rational, rational_sqrt
+from ellquot import QQ, UniPoly, factor_mod_p, is_square, rational, rational_sqrt
 
 
 def test_rational_sqrt_examples():
@@ -26,25 +26,8 @@ def test_rational_coercion():
         QQ(1.5)
 
 
-def test_prime_field_arithmetic():
-    F5 = PrimeField(5)
-    a = F5(7)
-    b = F5(3)
-    assert a == 2
-    assert a + b == 0
-    assert a * b == 1
-    assert a / b == F5(4)
-    assert -a == 3
-    assert a ** 4 == 1
-    assert F5(Fraction(1, 2)) == 3  # inverse of 2 mod 5
-
-
 def test_prime_field_rejects_composites():
-    with pytest.raises(ValueError):
-        PrimeField(10)
-
-
-def test_prime_field_division_by_zero():
-    F7 = PrimeField(7)
-    with pytest.raises(ZeroDivisionError):
-        F7(1) / F7(0)
+    # reduction modulo n is only defined for a prime n: Z/10 is not a field
+    x = UniPoly.gen(QQ)
+    with pytest.raises(ValueError, match="10 is not prime"):
+        factor_mod_p(x + 1, 10)

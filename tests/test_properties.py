@@ -6,19 +6,20 @@ package never imports them.
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from ellquot import (
     QQ,
     EllquotError,
-    PrimeField,
     UniPoly,
     factor_mod_p,
     factor_over_Q,
     kubert_curve,
     resultant,
 )
+from ellquot import intpoly as ip
 from ellquot.curves import KUBERT_PARAMETERS
 from ellquot.jsonio import (
     curve_from_json,
@@ -68,6 +69,15 @@ def test_factor_over_Q_expands_back(f):
     assert fl.expand() == f
 
 
+def _expand_mod(factors, lc, p):
+    """lc times the product of the factors g^m mod p, as an int list."""
+    out = [lc]
+    for g, m in factors:
+        for _ in range(m):
+            out = ip.mul(out, list(g), p)
+    return out
+
+
 @SETTINGS
 @given(
     polys(1, 8, st.integers(-50, 50).map(Fraction)),
@@ -75,13 +85,16 @@ def test_factor_over_Q_expands_back(f):
     st.integers(1, 3),
 )
 def test_factor_mod_p_expands_back_with_monic_factors(g, p, m):
-    F = PrimeField(p)
-    f = UniPoly(F, [F(c) for c in (g ** m).coeffs])
-    assume(f.degree >= 1)
-    fl = factor_mod_p(f)
-    assert all(h.lc == F.one for h, _ in fl.factors)
-    assert fl.expand() == f
-    assert factor_mod_p(g ** m, p).factors == fl.factors
+    ints = ip.trim([int(c) for c in (g ** m).coeffs], p)
+    assume(len(ints) >= 2)
+    fl = factor_mod_p(UniPoly(QQ, ints), p)
+    assert all(h[-1] == 1 and all(0 <= c < p for c in h) for h, _ in fl)
+    assert _expand_mod(fl, ints[-1], p) == ints
+    if g.lc % p:
+        assert factor_mod_p(g ** m, p) == fl
+    else:
+        with pytest.raises(ValueError, match="divides the leading coefficient"):
+            factor_mod_p(g ** m, p)
 
 
 def _has_root_mod(coeffs, p):
@@ -90,7 +103,7 @@ def _has_root_mod(coeffs, p):
 
 @st.composite
 def irreducible_mod(draw, p, d):
-    """A monic irreducible of degree 2 or 3 over GF(p): one with no root mod p.
+    """A monic irreducible of degree 2 or 3 mod p: one with no root mod p.
 
     The search starts at a drawn polynomial and walks all p^d monic ones.
     """
@@ -105,29 +118,32 @@ def irreducible_mod(draw, p, d):
 
 @st.composite
 def products_mod_p(draw):
-    """A unit times distinct irreducibles of one degree d in {2, 3} times a
-    random polynomial raised to a power up to 3, over GF(p)."""
+    """(f, p): a unit times distinct irreducibles of one degree d in {2, 3}
+    times a random polynomial raised to a power up to 3, as an int list mod p."""
     p = draw(st.sampled_from([2, 3, 5, 7, 101, 367]))
     d = draw(st.sampled_from([2, 3]))
-    F = PrimeField(p)
-    f = UniPoly.constant(F, F(draw(st.integers(1, p - 1))))
+    f = [draw(st.integers(1, p - 1))]
     for g in draw(st.lists(irreducible_mod(p, d), min_size=1, max_size=3, unique_by=tuple)):
-        f = f * UniPoly(F, [F(c) for c in g])
-    extra = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
-    return f * UniPoly(F, [F(c) for c in extra] + [F.one]) ** draw(st.integers(0, 3))
+        f = ip.mul(f, g, p)
+    extra = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)) + [1]
+    for _ in range(draw(st.integers(0, 3))):
+        f = ip.mul(f, extra, p)
+    return f, p
 
 
 @SETTINGS
 @given(products_mod_p())
-def test_factor_mod_p_agrees_with_sympy_and_returns_irreducibles(f):
-    p = f.field.p
-    fl = factor_mod_p(f)
-    assert fl.expand() == f
+def test_factor_mod_p_agrees_with_sympy_and_returns_irreducibles(f_p):
+    f, p = f_p
+    fl = factor_mod_p(UniPoly(QQ, f), p)
+    assert _expand_mod(fl, f[-1], p) == f
     X = sympy.Symbol("x")
-    _, expected = sympy.Poly([c.value for c in reversed(f.coeffs)], X, modulus=p).factor_list()
-    assert fl.degrees() == tuple(sorted(g.degree() for g, m in expected for _ in range(m)))
-    for g, _ in fl.factors:
-        assert sympy.Poly([c.value for c in reversed(g.coeffs)], X, modulus=p).is_irreducible
+    _, expected = sympy.Poly(list(reversed(f)), X, modulus=p).factor_list()
+    assert sorted(len(g) - 1 for g, m in fl for _ in range(m)) == sorted(
+        g.degree() for g, m in expected for _ in range(m)
+    )
+    for g, _ in fl:
+        assert sympy.Poly(list(reversed(g)), X, modulus=p).is_irreducible
 
 
 def _to_sympy(f):
