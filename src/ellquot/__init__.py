@@ -43,7 +43,7 @@ from .families import (
     ptilde_quartic,
     shanks_cubic,
 )
-from .fields import QQ, Rational, is_square, rational, rational_sqrt
+from .fields import QQ, is_square, rational_sqrt
 from .funcfield import FunctionField, RatFunc
 from .galois import GaloisReport, cyclic_from_fiber, frobenius_patterns, galois_group
 from .isogeny import (
@@ -63,8 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QQ",
-    "Rational",
-    "rational",
     "rational_sqrt",
     "is_square",
     "FunctionField",

@@ -78,7 +78,9 @@ def _emit_error(exc) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ellquot", description=__doc__)
-    default_seed = int(os.environ.get("ELLQUOT_SEED", "0"))
+    # argparse converts a string default only when --seed is absent, so a
+    # malformed ELLQUOT_SEED fails only the commands that take a seed
+    default_seed = os.environ.get("ELLQUOT_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     fam = sub.add_parser("family", help="Kubert curve with its order-l point")

@@ -237,9 +237,8 @@ def construct_l6(v0, z):
     if den == 0:
         raise DegenerateParameterError("(z+3+9v0^2)(z-3-9v0^2) must be nonzero")
     c = 2 * (9 * v0 ** 4 + 18 * v0 * v0 - v0 * v0 * z + z + 5) / den
-    alpha, beta, gamma = _l6_factors(c)
-    x = _x6(c, v0, alpha)
-    fx = (4 * x - alpha) * (x * x + beta * x + gamma)
+    x = _x6(c, v0, _l6_factors(c)[0])
+    fx = _cubic_at(quotient_cubic(6, c), x)
     yb = rational_sqrt(fx)
     if yb is None:
         raise InvariantError(f"f(x_{{c,6}}) = {fx} is not a rational square at c = {c}")

@@ -32,10 +32,6 @@ class CurvePoint:
     y: object = None
 
     @classmethod
-    def infinity(cls):
-        return cls(True)
-
-    @classmethod
     def affine(cls, x, y):
         return cls(False, x, y)
 
@@ -45,7 +41,7 @@ class CurvePoint:
         return f"({self.x}, {self.y})"
 
 
-INFINITY = CurvePoint.infinity()
+INFINITY = CurvePoint(True)
 
 
 @dataclass(frozen=True)

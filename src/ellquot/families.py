@@ -5,10 +5,9 @@ quintics, the simplest cubic and quartic families, and the substitution and
 resultant identities connecting them.  Each family's coefficients are written
 once, in a function that works over any commutative ring: the public
 constructors evaluate it at rationals through the FAMILIES table, and the
-identity checks evaluate the same function at MultiPoly generators (formal
-check in the free parameters) or at rationals (exact specialized check).  The
-substitution checks compare coefficient by coefficient; the Gras check takes a
-resultant.
+identity checks evaluate the same function at MultiPoly generators, so each
+identity is verified formally in the free parameters.  The substitution
+checks compare coefficient by coefficient; the Gras check takes a resultant.
 """
 
 from __future__ import annotations
@@ -137,70 +136,49 @@ def gras_quartic(t) -> FamilyPolynomial:
 # Exact transformation identities
 
 
-def check_brumer_substitution(s=None, u=None) -> bool:
+def check_brumer_substitution() -> bool:
     """(x, n, c) -> (s/x, -u, s) turns the quintic family into Brumer's.
 
     x^5 * P_{-u,s}(s/x) must equal s^4 * B_{s,u}(x): the coefficient of x^j
-    on the left is a_{5-j} s^{5-j}.  With both arguments omitted the identity
-    is verified formally in (s, u); with rational s != 0, u it is checked
-    exactly at that point.
+    on the left is a_{5-j} s^{5-j}.  Verified formally in (s, u).
     """
-    if s is None and u is None:
-        s, u = MultiPoly.gens(("s", "u"))
-    else:
-        s, u = Fraction(s), Fraction(u)
-        if s == 0:
-            raise ValueError("the substitution needs s != 0")
+    s, u = MultiPoly.gens(("s", "u"))
     a = _pncl5_coeffs(-u, s)
     b = _brumer_coeffs(s, u)
     return all(a[5 - j] * s ** (5 - j) == s ** 4 * b[j] for j in range(6))
 
 
-def check_darmon_transform(S=None, T=None) -> bool:
+def check_darmon_transform() -> bool:
     """(x, s, u) -> (-x, S+3, T+2S+5) carries Brumer's family onto Darmon's.
 
-    Formally in (S, T) when called without arguments, else exactly at the
-    given rationals.  The leading coefficient after x -> -x is -1, so the
-    comparison negates once: D_j = (-1)^(j+1) B_j.
+    Verified formally in (S, T).  The leading coefficient after x -> -x is
+    -1, so the comparison negates once: D_j = (-1)^(j+1) B_j.
     """
-    if S is None and T is None:
-        S, T = MultiPoly.gens(("S", "T"))
-    else:
-        S, T = Fraction(S), Fraction(T)
+    S, T = MultiPoly.gens(("S", "T"))
     b = _brumer_coeffs(S + 3, T + 2 * S + 5)
     d = _darmon_coeffs(S, T)
     return all((-1) ** (j + 1) * bj == dj for j, (bj, dj) in enumerate(zip(b, d)))
 
 
-def check_shanks_reproduction(t=None) -> bool:
-    """ptilde_cubic(-t, -1, t+3) equals the simplest cubic family.
-
-    Formally in t when called without an argument, else exactly at t.
-    """
-    t = MultiPoly.variable("t", ("t",)) if t is None else Fraction(t)
+def check_shanks_reproduction() -> bool:
+    """ptilde_cubic(-t, -1, t+3) equals the simplest cubic family, formally in t."""
+    t = MultiPoly.variable("t", ("t",))
     return _ptilde3_coeffs(-t, -1, t + 3) == _shanks_coeffs(t)
 
 
-def gras_resultant_identity(t=None) -> bool:
-    """Resultant(ptilde4(x), X - h(x), x) is the Gras quartic G(X).
+def gras_resultant_identity() -> bool:
+    """Resultant(ptilde4(x), X - h(x), x) is the Gras quartic G(X), formally in t.
 
     Here h = t/2 x^2 - (t^2+32)/(8t) and (n, c) = ((t^2+32)/(2t^2),
-    (3t^4-1024)/(16t^4)).  Formally in t when t is omitted, else exactly at
-    the rational t != 0.  The denominators are cleared before the
-    subresultant algorithm runs over Q[t, X] (or Q[X]): with D = 16t^4 and
-    E = 8t, Res_x(D ptilde4, E (X - h)) = D^2 E^4 G = 2^20 t^12 G.
+    (3t^4-1024)/(16t^4)).  The denominators are cleared before the
+    subresultant algorithm runs over Q[t, X]: with D = 16t^4 and E = 8t,
+    Res_x(D ptilde4, E (X - h)) = D^2 E^4 G = 2^20 t^12 G.
     """
-    if t is None:
-        t = FunctionField("t").gen
-        names = ("t", "X")
-    else:
-        t = Fraction(t)
-        if t == 0:
-            raise ValueError("the Gras specialization needs t != 0")
-        names = ("X",)
+    t = FunctionField("t").gen
+    names = ("t", "X")
 
     def lift(q):
-        """q, a rational or a polynomial in t, as an element of Q[names]."""
+        """q, a rational or a polynomial in t, as an element of Q[t, X]."""
         if not isinstance(q, RatFunc):
             return MultiPoly.constant(names, q)
         if not q.is_polynomial:

@@ -4,24 +4,15 @@ A field object exposes ``zero``, ``one``, coercion via ``__call__`` and
 ``divexact``, so the polynomial layer stays generic over the coefficient
 field (Q here, Q(c) in ``funcfield``).  Rational numbers are plain
 ``fractions.Fraction`` values, which already guarantee lowest terms and a
-positive denominator.  GF(p) has no field object: it lives only in the
-int-list kernel ``intpoly``, where ``factor`` reduces into it.
+positive denominator; ``QQ`` coerces ints and Fractions only, since text is
+parsed at the CLI and JSON boundary.  GF(p) has no field object: it lives
+only in the int-list kernel ``intpoly``, where ``factor`` reduces into it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-
-Rational = Fraction
-
-
-def rational(value, den=None) -> Fraction:
-    """Coerce ints, strings like '3/4', or pairs into an exact rational."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
-
 
 def rational_sqrt(q):
     """Nonnegative exact square root of a rational, or None if not a square."""
@@ -49,7 +40,7 @@ class RationalField:
     def __call__(self, value) -> Fraction:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, (int, str)):
+        if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 

@@ -177,13 +177,13 @@ def _sextic_group(histogram):
     return "other", "sampled"
 
 
-def cyclic_from_fiber(cert, prime_budget: int = DEFAULT_PRIME_BUDGET):
+def cyclic_from_fiber(cert):
     """(FamilyPolynomial, GaloisReport) for the fiber below a certified point.
 
-    `cert` comes from `certify` and must be valid.  For l = 3, 5, 6 the fiber
-    is then an irreducible degree-l polynomial whose Galois group is cyclic of
-    order l, the construction itself serving as the exactness source for
-    l = 5, 6.
+    `cert` comes from `certify` and must be valid; the report samples
+    DEFAULT_PRIME_BUDGET primes.  For l = 3, 5, 6 the fiber is then an
+    irreducible degree-l polynomial whose Galois group is cyclic of order l,
+    the construction itself serving as the exactness source for l = 5, 6.
     The published l = 4 model is a quadratic twist of the quotient and its
     fibers split; the report then states the splitting instead (the cyclic
     quartics of this circle of ideas are the Gras resultant family).
@@ -193,7 +193,7 @@ def cyclic_from_fiber(cert, prime_budget: int = DEFAULT_PRIME_BUDGET):
             f"certificate is not valid ({cert.excluded_reason or 'checks failed'})"
         )
     fiber = cert.fiber.poly
-    report = galois_group(fiber, prime_budget)
+    report = galois_group(fiber)
     if report.group_label in ("C5", "C6"):
         # the valid certificate proves the cyclic group the samples suggest
         report = replace(report, certainty="exact")

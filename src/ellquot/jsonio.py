@@ -1,8 +1,11 @@
-"""Exact JSON and ASCII encodings for every public value type.
+"""Exact JSON and ASCII encodings of the values the CLI prints.
 
 Rationals serialize as two decimal integer strings, polynomials as
-coefficient lists lowest degree first, and every encoder has a matching
-decoder so payloads round-trip exactly.  No floating point appears anywhere.
+coefficient lists lowest degree first.  Rationals, polynomials over Q (as
+JSON or canonical ASCII), and curves and points over Q have decoders and
+round-trip exactly; values over Q(c), isogenies, fibers, certificates,
+Galois reports and family members are encoded for output only.  No floating
+point appears anywhere.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .curves import CurvePoint, WeierstrassCurve
+from .curves import INFINITY, CurvePoint, WeierstrassCurve
 from .factor import FACTOR_DEGREE_CAP
 from .fields import QQ
 from .funcfield import RatFunc
@@ -79,10 +82,11 @@ def _signed_terms(text):
     return pieces
 
 
-def poly_from_ascii(text: str, var: str | None = None) -> UniPoly:
+def poly_from_ascii(text: str) -> UniPoly:
     """Parse the canonical ASCII polynomial form (and tolerant variants).
 
-    Accepts terms like '(3/2)*x^2', '-x', '5', 'x^3 - 2*x + 1/3'.  Every term
+    Accepts terms like '(3/2)*x^2', '-x', '5', 'x^3 - 2*x + 1/3'.  The
+    variable is the one the text uses (x for a constant).  Every term
     carries at most one sign; an empty text, a dangling sign, a malformed
     term, a numerator or denominator with more digits than the interpreter's
     int-string limit (sys.get_int_max_str_digits()) or an exponent above
@@ -94,7 +98,7 @@ def poly_from_ascii(text: str, var: str | None = None) -> UniPoly:
     if not pieces:
         raise ValueError(f"empty polynomial text {text!r}")
     coeffs: dict[int, Fraction] = {}
-    seen_var = var
+    seen_var = None
     for piece in pieces:
         sign = -1 if piece[0] == "-" else 1
         term = piece[1:].strip() if piece[0] in "+-" else piece.strip()
@@ -172,7 +176,7 @@ def point_to_json(P: CurvePoint) -> dict:
 
 def point_from_json(obj) -> CurvePoint:
     if obj.get("inf"):
-        return CurvePoint.infinity()
+        return INFINITY
     return CurvePoint.affine(rational_from_json(obj["x"]), rational_from_json(obj["y"]))
 
 

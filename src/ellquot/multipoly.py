@@ -163,22 +163,6 @@ class MultiPoly:
             total += term
         return total
 
-    def subs_values(self, partial: dict) -> "MultiPoly":
-        """Substitute rational values for a subset of the variables."""
-        keep = [v for v in self.vars if v not in partial]
-        out = {}
-        for e, c in self.terms.items():
-            coeff = c
-            new_e = []
-            for v, k in zip(self.vars, e):
-                if v in partial:
-                    coeff *= Fraction(partial[v]) ** k
-                else:
-                    new_e.append(k)
-            key = tuple(new_e)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return MultiPoly(tuple(keep), out)
-
     def __repr__(self):
         if not self.terms:
             return "0"

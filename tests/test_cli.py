@@ -42,6 +42,32 @@ def test_usage_error_exits_1(capsys):
     assert exc.value.code == 1
 
 
+def test_malformed_seed_variable_is_read_only_by_the_commands_that_take_a_seed(
+    capsys, monkeypatch
+):
+    monkeypatch.setenv("ELLQUOT_SEED", "abc")
+    code, out = run_cli(capsys, "family", "--l", "5", "--c", "1")
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"
+    for argv in (["sweep", "--l", "5", "--count", "1"], ["verify-paper"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
+    # an explicit --seed wins over the variable
+    code, out = run_cli(capsys, "sweep", "--l", "5", "--count", "2", "--seed", "7")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2
+
+
+def test_seed_variable_sets_the_default_seed(capsys, monkeypatch):
+    code, flagged = run_cli(capsys, "sweep", "--l", "5", "--count", "3", "--seed", "7")
+    monkeypatch.setenv("ELLQUOT_SEED", "7")
+    code, from_env = run_cli(capsys, "sweep", "--l", "5", "--count", "3")
+    assert code == 0
+    assert from_env == flagged
+
+
 def test_quotient_symbolic(capsys):
     code, out = run_cli(capsys, "quotient", "--l", "4", "--symbolic")
     assert code == 0

@@ -14,6 +14,7 @@ from ellquot import (
     ConstructionInput,
     DegenerateParameterError,
     FunctionField,
+    InvariantError,
     certify,
     construct_l3,
     construct_l4,
@@ -126,6 +127,19 @@ class TestConstructL6:
     def test_denominator_zero_rejected(self):
         with pytest.raises(DegenerateParameterError):
             construct_l6(1, 12)
+
+    def test_y_b_comes_from_the_published_cubic(self, monkeypatch):
+        # f_{c,6} is written once, in quotient_cubic: a perturbed b6 there
+        # leaves f(x_{c,6}) a non-square at the fixture
+        exact = constructions.quotient_cubic
+
+        def perturbed(l, c):
+            b2, b4x2, b6 = exact(l, c)
+            return (b2, b4x2, b6 + 1) if l == 6 else (b2, b4x2, b6)
+
+        monkeypatch.setattr(constructions, "quotient_cubic", perturbed)
+        with pytest.raises(InvariantError):
+            construct_l6(1, 16)
 
 
 def test_defining_identities_exact():

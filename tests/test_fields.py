@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellquot import QQ, UniPoly, factor_mod_p, is_square, rational, rational_sqrt
+from ellquot import QQ, UniPoly, factor_mod_p, is_square, rational_sqrt
 
 
 def test_rational_sqrt_examples():
@@ -19,11 +19,13 @@ def test_is_square():
 
 
 def test_rational_coercion():
-    assert rational("3/4") == Fraction(3, 4)
-    assert rational(6, 8) == Fraction(3, 4)
-    assert QQ("7") == 7
-    with pytest.raises(TypeError):
-        QQ(1.5)
+    # Fraction is the rational type; QQ coerces ints and Fractions only
+    assert QQ(Fraction(6, 8)) == Fraction(3, 4)
+    assert QQ(7) == 7
+    assert isinstance(QQ(7), Fraction)
+    for value in (1.5, "7", "3/4"):
+        with pytest.raises(TypeError):
+            QQ(value)
 
 
 def test_prime_field_rejects_composites():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ellquot import (
+    INFINITY,
     ConstructionInput,
     QQ,
     UniPoly,
@@ -63,7 +64,9 @@ def test_poly_ascii_tolerant_inputs():
     assert poly_from_ascii("x^3 - 2") == x ** 3 - 2
     assert poly_from_ascii("-x + 1/3") == -x + Fraction(1, 3)
     assert poly_from_ascii("2*x^2+x") == 2 * x ** 2 + x
-    assert poly_from_ascii("X^4 - 6*X^2 + 1", var="X").degree == 4
+    gras = poly_from_ascii("X^4 - 6*X^2 + 1")
+    assert (gras.var, gras.degree) == ("X", 4)
+    assert poly_from_ascii("5").var == "x"
     with pytest.raises(ValueError):
         poly_from_ascii("x + y")
 
@@ -128,6 +131,7 @@ def test_curve_point_round_trip():
     assert curve_from_json(json.loads(json.dumps(curve_to_json(curve)))) == curve
     P = curve.add(A, A)
     assert point_from_json(json.loads(json.dumps(point_to_json(P)))) == P
+    assert point_from_json(point_to_json(INFINITY)) is INFINITY
 
 
 def test_isogeny_payload_shape():

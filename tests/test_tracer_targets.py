@@ -32,3 +32,34 @@ def test_every_tracer_target_resolves():
             missing.append(target)
     assert targets
     assert not missing
+
+
+def test_tracer_installs_and_uninstalls_as_the_benchmark_does():
+    """install() rebinds every importing module and raises on a stale reference.
+
+    The pairs are the ones bench/test_bench.py pins: a module that stops
+    importing a target by name (say `from . import factor`) fails here.
+    """
+    import ellquot
+    import ellquot.cli  # noqa: F401  every library module is loaded before install
+    import ellquot.jsonio  # noqa: F401
+
+    pinned = [
+        (ellquot.factor, "factor_mod_p"),
+        (ellquot.galois, "factor_mod_p"),
+        (ellquot.galois, "rational_roots"),
+        (ellquot.verify, "factor_over_Q"),
+        (ellquot.verify, "frobenius_patterns"),
+        (ellquot, "certify"),
+    ]
+    originals = [getattr(module, name) for module, name in pinned]
+    t = _load_tracer().Tracer()
+    try:
+        t.install()
+        assert not t.missing
+        for module, name in pinned:
+            assert hasattr(getattr(module, name), "__traced_original__"), (module.__name__, name)
+    finally:
+        t.uninstall()
+    for (module, name), original in zip(pinned, originals):
+        assert getattr(module, name) is original, (module.__name__, name)
