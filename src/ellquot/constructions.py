@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import CurvePoint, WeierstrassCurve, kubert_curve
+from .curves import CurvePoint, WeierstrassCurve, _field_of, kubert_curve
 from .errors import (
     DegenerateParameterError,
     InvariantError,
@@ -34,7 +34,7 @@ from .errors import (
     SingularCurveError,
     check_parameters,
 )
-from .fields import rational_sqrt
+from .fields import QQ, rational_sqrt
 from .isogeny import (
     FiberPolynomial,
     IsogenyData,
@@ -127,14 +127,15 @@ class QuotientModel:
 
 
 def quotient_model(l, *params) -> QuotientModel:
-    """The degree-l quotient of the Kubert curve, in the published model."""
-    if params and not isinstance(params[0], Fraction):
-        try:
-            params = tuple(Fraction(p) for p in params)
-        except (TypeError, ValueError):
-            pass  # symbolic parameter, field taken from the value
+    """The degree-l quotient of the Kubert curve, in the published model.
+
+    The parameters are coerced into their common field as in kubert_curve:
+    Q(c) when one of them is symbolic, else Q, so parameter holds Fractions
+    over Q; a float or a string raises TypeError.
+    """
     if l not in (3, 4, 5, 6):
         raise ValueError(f"constructions cover l in {{3,4,5,6}}, got {l}")
+    _, params = _field_of(params)
     kubert_params = params
     if l == 4:
         (c,) = params  # the l = 4 table belongs to the Kubert curve at c - 1/16
@@ -165,29 +166,21 @@ def construct_l5(row: int, *, z=None, t=None, m=None, as_printed: bool = False):
     identity A_5(c) = z^2 at u0 = -1 (A_5 = -4c-3 forces c = -(z^2+3)/4);
     the corrected value is used unless as_printed is set.
     """
-    if row == 1:
+    if row in (1, 2):
         if z is None:
-            raise DegenerateParameterError("row 1 needs the parameter z")
-        z = Fraction(z)
-        u0 = Fraction(-1)
-        c = (z * z - 3) / 4 if as_printed else -(z * z + 3) / 4
-        x = x5(c, u0)
-        yb = z * g5(c)
-        return c, x, yb
-    if row == 2:
-        if z is None:
-            raise DegenerateParameterError("row 2 needs the parameter z")
-        z = Fraction(z)
-        u0 = Fraction(-3, 4)
-        c = 16 * z * z + 18
-        x = x5(c, u0)
-        yb = z * g5(c)
-        return c, x, yb
-    if row == 3:
+            raise DegenerateParameterError(f"row {row} needs the parameter z")
+        z = QQ(z)
+        if row == 1:
+            u0 = Fraction(-1)
+            c = (z * z - 3) / 4 if as_printed else -(z * z + 3) / 4
+        else:
+            u0 = Fraction(-3, 4)
+            c = 16 * z * z + 18
+    elif row == 3:
         if t is None or m is None:
             raise DegenerateParameterError("row 3 needs the parameters t and m")
-        t = Fraction(t)
-        m = Fraction(m)
+        t = QQ(t)
+        m = QQ(m)
         u0 = (t * t - 1) / 4
         den = t ** 6 + 8 * t ** 4 + 21 * t * t + 16 * m * m + 18
         c = (11 * t ** 6 + 33 * t ** 4 - 8 * m * t ** 3 + 21 * t * t + 8 * m * t - 1) / den
@@ -196,17 +189,16 @@ def construct_l5(row: int, *, z=None, t=None, m=None, as_printed: bool = False):
             raise DegenerateParameterError(
                 "row 3 indicator A_5(c) is not a rational square at these parameters"
             )
-        x = x5(c, u0)
-        yb = z * g5(c)
-        return c, x, yb
-    raise DegenerateParameterError(f"row must be 1, 2 or 3, got {row!r}")
+    else:
+        raise DegenerateParameterError(f"row must be 1, 2 or 3, got {row!r}")
+    return c, x5(c, u0), z * g5(c)
 
 
 def construct_l3(a1, u1, z):
     """(a3, x, y_b) on y^2 = 4x^3 + a1^2 x^2 - 18 a1 a3 x - a3(4a1^3 + 27a3)."""
-    a1 = Fraction(a1)
-    u1 = Fraction(u1)
-    z = Fraction(z)
+    a1 = QQ(a1)
+    u1 = QQ(u1)
+    z = QQ(z)
     if u1 == 0:
         raise DegenerateParameterError("u1 must be nonzero")
     a3 = (z * z - (u1 * a1 + 1) ** 2) / (4 * u1 ** 3)
@@ -218,8 +210,8 @@ def construct_l3(a1, u1, z):
 
 def construct_l4(u, v):
     """(c, x, y_b) with x = u^2 - c on y^2 = (x+c)(4x^2+x+c)."""
-    u = Fraction(u)
-    v = Fraction(v)
+    u = QQ(u)
+    v = QQ(v)
     den = 4 * v + 8 * u * u
     if den == 0:
         raise DegenerateParameterError("4v + 8u^2 must be nonzero")
@@ -231,8 +223,8 @@ def construct_l4(u, v):
 
 def construct_l6(v0, z):
     """(c, x, y_b) with x = (19c^2+14c-1+v0^2(9c+1)^2)/4 on y^2 = f_{c,6}(x)."""
-    v0 = Fraction(v0)
-    z = Fraction(z)
+    v0 = QQ(v0)
+    z = QQ(z)
     den = (z + 3 + 9 * v0 * v0) * (z - 3 - 9 * v0 * v0)
     if den == 0:
         raise DegenerateParameterError("(z+3+9v0^2)(z-3-9v0^2) must be nonzero")
@@ -324,7 +316,7 @@ class ConstructionInput:
         if names is None:
             raise ValueError(f"no (l, row) = {key} in {CONSTRUCTION_PARAMETERS}")
         check_parameters(f"the (l, row) = {key} construction", names, params)
-        self.params = {k: Fraction(params[k]) for k in names}
+        self.params = {k: QQ(params[k]) for k in names}
 
 
 @dataclass

@@ -9,7 +9,6 @@ has exact order l, checked at construction time by the group law itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DegenerateParameterError,
@@ -317,9 +316,10 @@ def kubert_curve(l: int, *params):
 
 
 def _field_of(params):
-    """Pick the common field of the parameters (Q unless one is symbolic)."""
-    for p in params:
-        if isinstance(p, RatFunc):
-            field = FunctionField(p.num.var)
-            return field, tuple(field(q) for q in params)
-    return QQ, tuple(Fraction(q) if not isinstance(q, Fraction) else q for q in params)
+    """(field, params coerced into it): Q(c) if one parameter is symbolic, else Q.
+
+    Each parameter goes through the field's coercion, so a float or a string
+    raises TypeError instead of being read as a rational.
+    """
+    field = next((FunctionField(p.num.var) for p in params if isinstance(p, RatFunc)), QQ)
+    return field, tuple(field(q) for q in params)

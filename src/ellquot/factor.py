@@ -14,8 +14,10 @@ h^((p^d-1)/2) = (h * h^p * ... * h^(p^(d-1)))^((p-1)/2).
 Over Q: Yun's squarefree decomposition of the primitive integer model,
 factorization modulo a good prime, Hensel lifting past the coefficient bound,
 and subset recombination.
-Rational roots come from p-adic lifting and rational reconstruction.  Degrees
-up to 16 are supported, which covers everything this package produces.
+Rational roots come from the same Yun decomposition: each squarefree part's
+roots, found by p-adic lifting and rational reconstruction, carry the part's
+multiplicity.  Degrees up to 16 are supported, which covers everything this
+package produces.
 """
 
 from __future__ import annotations
@@ -421,12 +423,14 @@ def factor_over_Q(f: UniPoly) -> FactorList:
 
 
 def rational_roots(f: UniPoly) -> list:
-    """All rational roots of f with multiplicity.
+    """All rational roots of f with multiplicity, sorted.
 
-    A rational root u/v in lowest terms of the primitive integer model g has
-    u | g(0) and v | lc(g), which bounds its height; roots are found by
-    lifting the simple roots of g mod p to a modulus beyond twice that bound
-    and applying rational reconstruction, then verified exactly.
+    The primitive integer model is split by Yun's decomposition into
+    squarefree parts g, and each root of g has g's multiplicity.  A rational
+    root u/v in lowest terms of g has u | g(0) and v | lc(g), which bounds its
+    height; roots are found by lifting the simple roots of g mod p to a
+    modulus beyond twice that bound and applying rational reconstruction,
+    then verified exactly.
     """
     if f.field != QQ:
         raise ValueError("rational_roots needs rational coefficients")
@@ -438,26 +442,13 @@ def rational_roots(f: UniPoly) -> list:
     k0, prim = _strip_x(ip.integer_model(f.coeffs)[1])
     roots = [Fraction(0)] * k0
     if len(prim) > 1:
-        g = _squarefree_part(prim)
-        bound_num = abs(g[0])
-        bound_den = abs(g[-1])
-        target = 2 * bound_num * bound_den + 1
-        for r in _lift_rational_roots(g, target, bound_num, bound_den):
-            # multiplicity by repeated exact division by the primitive v*x - u
-            lin = [-r.numerator, r.denominator]
-            poly = ip.divexact_zz(prim, lin)
-            while poly is not None:
-                roots.append(r)
-                poly = ip.divexact_zz(poly, lin)
+        for g, mult in _yun(prim):
+            bound_num = abs(g[0])
+            bound_den = abs(g[-1])
+            target = 2 * bound_num * bound_den + 1
+            for r in _lift_rational_roots(g, target, bound_num, bound_den):
+                roots.extend([r] * mult)
     return sorted(roots)
-
-
-def _squarefree_part(f):
-    """Squarefree part of a primitive integer polynomial."""
-    g = ip.gcd_zz(f, ip.deriv(f))
-    if len(g) == 1:
-        return f
-    return ip.primitive(ip.divexact_zz(f, g))[1]
 
 
 def _lift_rational_roots(g, target, bound_num, bound_den):

@@ -13,7 +13,6 @@ checks compare coefficient by coefficient; the Gras check takes a resultant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantError, check_parameters
 from .fields import QQ
@@ -93,7 +92,7 @@ def family_polynomial(name, params: dict) -> FamilyPolynomial:
         raise ValueError(f"no family {name!r} in {sorted(FAMILIES)}")
     coeffs, names, var = FAMILIES[name]
     check_parameters(f"family {name}", names, params)
-    values = {k: Fraction(params[k]) for k in names}
+    values = {k: QQ(params[k]) for k in names}
     return FamilyPolynomial(name, values, UniPoly(QQ, coeffs(*values.values()), var))
 
 

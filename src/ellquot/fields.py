@@ -16,7 +16,7 @@ from math import isqrt
 
 def rational_sqrt(q):
     """Nonnegative exact square root of a rational, or None if not a square."""
-    q = Fraction(q)
+    q = QQ(q)
     if q < 0:
         return None
     rn = isqrt(q.numerator)

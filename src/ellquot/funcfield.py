@@ -45,10 +45,19 @@ class RatFunc:
         return self.den.degree == 0
 
     def _coerce(self, other):
+        """other as an element of this field, None for a foreign type.
+
+        A rational function or a polynomial over Q in another variable
+        raises ValueError.
+        """
         if isinstance(other, RatFunc):
+            if other.num.var != self.num.var:
+                raise ValueError("mixed variables")
             return other
-        if isinstance(other, UniPoly) and other.field == self.num.field:
-            return RatFunc(other, UniPoly.one(other.field, other.var))
+        if isinstance(other, UniPoly) and other.field == QQ:
+            if other.var != self.num.var:
+                raise ValueError("mixed variables")
+            return RatFunc(other, UniPoly.one(QQ, other.var))
         if isinstance(other, (int, Fraction)):
             return RatFunc(
                 UniPoly.constant(self.num.field, other, self.num.var),
@@ -138,15 +147,10 @@ class FunctionField:
         self.name = f"{QQ.name}({var})"
 
     def __call__(self, value) -> RatFunc:
-        if isinstance(value, RatFunc):
-            if value.num.field != QQ or value.num.var != self.var:
-                raise ValueError("rational function from a different field")
-            return value
-        if isinstance(value, UniPoly):
-            if value.field != QQ:
-                raise ValueError("polynomial over a different base")
-            return RatFunc(value, UniPoly.one(QQ, self.var))
-        return RatFunc(UniPoly.constant(QQ, QQ(value), self.var), UniPoly.one(QQ, self.var))
+        out = self.zero._coerce(value)
+        if out is None:
+            raise TypeError(f"cannot coerce {value!r} into {self.name}")
+        return out
 
     def divexact(self, a, b):
         return self(a) / self(b)

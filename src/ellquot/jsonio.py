@@ -1,11 +1,11 @@
 """Exact JSON and ASCII encodings of the values the CLI prints.
 
-Rationals serialize as two decimal integer strings, polynomials as
-coefficient lists lowest degree first.  Rationals, polynomials over Q (as
-JSON or canonical ASCII), and curves and points over Q have decoders and
-round-trip exactly; values over Q(c), isogenies, fibers, certificates,
-Galois reports and family members are encoded for output only.  No floating
-point appears anywhere.
+Rationals serialize as two decimal integer strings, polynomials over Q and
+over Q(c) (one encoder, poly_to_json) as coefficient lists lowest degree
+first.  Rationals, polynomials over Q (as JSON or canonical ASCII), and
+curves and points over Q have decoders and round-trip exactly; values over
+Q(c), isogenies, fibers, certificates, Galois reports and family members are
+encoded for output only.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -32,9 +32,12 @@ def rational_from_json(pair) -> Fraction:
 
 
 def poly_to_json(f: UniPoly) -> dict:
-    if f.field != QQ:
-        raise ValueError("JSON polynomial encoding covers rational coefficients")
-    return {"var": f.var, "coeffs": [rational_to_json(c) for c in f.coeffs]}
+    """{"var", "coeffs"} for a polynomial over Q or over Q(c).
+
+    A coefficient over Q(c) is encoded as its num/den pair of polynomials
+    over Q; other coefficient rings raise ValueError.
+    """
+    return {"var": f.var, "coeffs": [_field_elem_to_json(c) for c in f.coeffs]}
 
 
 def poly_from_json(obj) -> UniPoly:
@@ -180,24 +183,14 @@ def point_from_json(obj) -> CurvePoint:
     return CurvePoint.affine(rational_from_json(obj["x"]), rational_from_json(obj["y"]))
 
 
-def _sym_poly_to_json(f: UniPoly):
-    """Polynomial over Q or over Q(c); the latter coefficient-wise."""
-    if f.field == QQ:
-        return poly_to_json(f)
-    return {
-        "var": f.var,
-        "coeffs": [_field_elem_to_json(c) for c in f.coeffs],
-    }
-
-
 def isogeny_to_json(isog: IsogenyData) -> dict:
     return {
         "degree": isog.degree,
         "domain": curve_to_json(isog.domain),
         "codomain": curve_to_json(isog.codomain),
         "kernel_x": [_field_elem_to_json(x) for x in isog.kernel_x],
-        "phi_x_num": _sym_poly_to_json(isog.phi_x_num),
-        "phi_x_den": _sym_poly_to_json(isog.phi_x_den),
+        "phi_x_num": poly_to_json(isog.phi_x_num),
+        "phi_x_den": poly_to_json(isog.phi_x_den),
     }
 
 

@@ -188,13 +188,10 @@ class MultiPolyRing:
         self.name = "Q[" + ",".join(self.vars) + "]"
 
     def __call__(self, value):
-        if isinstance(value, MultiPoly):
-            if value.vars != self.vars:
-                raise ValueError("mixed variable sets")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return MultiPoly.constant(self.vars, value)
-        raise TypeError(f"cannot coerce {value!r} into {self.name}")
+        out = self.zero._coerce(value)
+        if out is None:
+            raise TypeError(f"cannot coerce {value!r} into {self.name}")
+        return out
 
     def divexact(self, a, b):
         return self(a).divexact(self(b))

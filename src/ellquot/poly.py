@@ -1,11 +1,14 @@
 """Dense univariate polynomials over a pluggable coefficient field.
 
-Coefficients are stored lowest degree first with no trailing zeros.  The same
-class serves Q, rational function fields Q(c), and (for resultants only)
-multivariate polynomial rings that provide ``divexact``.  Integer and modular
-work is not done here: the gcd over Q hands the primitive integer models of
-its operands to the int-list kernel in ``intpoly``, which is also what the
-factoring and Galois layers use.
+A polynomial's ring is its coefficient field plus its variable: arithmetic
+and division between polynomials in different variables raise ValueError,
+and == and hash compare the variable too.  Composition is evaluation,
+f(g) = f(g(x)).  Coefficients are stored lowest degree first with no
+trailing zeros.  The same class serves Q, rational function fields Q(c), and
+(for resultants only) multivariate polynomial rings that provide
+``divexact``.  Integer and modular work is not done here: the gcd over Q
+hands the primitive integer models of its operands to the int-list kernel in
+``intpoly``, which is also what the factoring and Galois layers use.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ class UniPoly:
         if isinstance(other, UniPoly):
             if other.field != self.field:
                 raise ValueError("mixed coefficient fields")
+            if other.var != self.var:
+                raise ValueError("mixed variables")
             return other
         try:
             return self._wrap((self.field(other),))
@@ -109,6 +114,8 @@ class UniPoly:
         if isinstance(other, UniPoly):
             if other.field != self.field:
                 raise ValueError("mixed coefficient fields")
+            if other.var != self.var:
+                raise ValueError("mixed variables")
             if self.is_zero or other.is_zero:
                 return self._wrap(())
             z = self.field.zero
@@ -141,7 +148,9 @@ class UniPoly:
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return (
+                self.var == other.var and self.field == other.field and self.coeffs == other.coeffs
+            )
         if self.degree > 0:
             return NotImplemented
         try:
@@ -151,10 +160,14 @@ class UniPoly:
         return (self.coeffs or (self.field.zero,))[0] == c
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.var, self.coeffs))
 
     def __call__(self, x):
-        """Evaluate by Horner; x may live in any ring the coefficients embed into."""
+        """Evaluate by Horner; x may live in any ring the coefficients embed into.
+
+        For a polynomial g this is the composition f(g(x)), in g's variable
+        (a constant f gives its constant coefficient).
+        """
         if not self.coeffs:
             return self.field.zero if not hasattr(x, "__mul__") else x * 0
         acc = self.coeffs[-1]
@@ -169,6 +182,8 @@ class UniPoly:
         """Quotient and remainder; requires an invertible leading coefficient."""
         if other.is_zero:
             raise ZeroPolynomialError("division by the zero polynomial")
+        if other.var != self.var:
+            raise ValueError("mixed variables")
         if self.degree < other.degree:
             return self._wrap(()), self
         z = self.field.zero
@@ -183,9 +198,6 @@ class UniPoly:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] = rem[k + j] - c * b
         return self._wrap(quo), self._wrap(rem[: other.degree])
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -223,13 +235,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         F = self.field
         return self._wrap([F(k) * c for k, c in enumerate(self.coeffs) if k > 0])
-
-    def compose(self, other: "UniPoly") -> "UniPoly":
-        """self(other(x)) by Horner on polynomials."""
-        acc = UniPoly.zero(self.field, other.var)
-        for c in reversed(self.coeffs):
-            acc = acc * other + self._wrap((c,))
-        return acc
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by x^k."""

@@ -274,6 +274,31 @@ def test_construction_input_keeps_the_table_order():
     assert certify(inp).params == {"a1": 0, "a3": 6, "u1": 1, "z": 5}
 
 
+@pytest.mark.parametrize("value", [0.5, "1/2"])
+def test_entry_points_reject_float_and_string_parameters(value):
+    # a float would be read as its binary expansion, a string parsed: both raise
+    calls = [
+        lambda: quotient_model(5, value),
+        lambda: quotient_model(4, value),
+        lambda: quotient_model(3, value, 1),
+        lambda: ConstructionInput(4, params={"u": value, "v": 1}),
+        lambda: construct_l3(value, 1, 5),
+        lambda: construct_l4(1, value),
+        lambda: construct_l5(1, z=value),
+        lambda: construct_l5(2, z=value),
+        lambda: construct_l5(3, t=value, m=1),
+        lambda: construct_l6(1, value),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_quotient_model_keeps_rational_parameters():
+    model = quotient_model(6, 2)
+    assert model.parameter == (2,) and all(type(p) is Fraction for p in model.parameter)
+
+
 def test_random_sweep_statistics():
     from ellquot import draw_input
 

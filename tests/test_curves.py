@@ -67,6 +67,12 @@ def test_kubert_rejects_singular_and_wrong_arity():
         kubert_curve(5, Fraction(1), Fraction(2))
 
 
+@pytest.mark.parametrize("params", [(5, 0.1), (5, "1/3"), (3, 0, 6.0), (3, "0", 6)])
+def test_kubert_rejects_float_and_string_parameters(params):
+    with pytest.raises(TypeError):
+        kubert_curve(*params)
+
+
 def test_symbolic_order_five():
     Fc = FunctionField("c")
     curve, A = kubert_curve(5, Fc.gen)

@@ -145,6 +145,14 @@ def test_family_polynomial_rejects_a_name_or_parameter_off_the_table(name, param
     assert named in str(info.value)
 
 
+@pytest.mark.parametrize("value", [2.5, "5/2"])
+def test_family_polynomial_rejects_float_and_string_parameters(value):
+    with pytest.raises(TypeError):
+        families.family_polynomial("shanks", {"t": value})
+    with pytest.raises(TypeError):
+        brumer(1, value)
+
+
 def test_gras_family():
     assert gras_quartic(0).poly == X ** 4 - 6 * X ** 2 + 1
     assert ptilde_quartic(2, 3).poly == x ** 4 - 2 * x ** 3 - x ** 2 + 2 * x - 3

@@ -26,6 +26,8 @@ def test_rational_coercion():
     for value in (1.5, "7", "3/4"):
         with pytest.raises(TypeError):
             QQ(value)
+        with pytest.raises(TypeError):
+            rational_sqrt(value)
 
 
 def test_prime_field_rejects_composites():

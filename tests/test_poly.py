@@ -67,7 +67,7 @@ def test_gcd_monic_and_common_factor():
 def test_compose_and_derivative():
     f = x ** 2 + 1
     g = x - 3
-    assert f.compose(g) == (x - 3) ** 2 + 1
+    assert f(g) == (x - 3) ** 2 + 1
     assert (x ** 3 - 2 * x).derivative() == 3 * x ** 2 - 2
 
 
@@ -148,6 +148,20 @@ def test_gras_quartic_resultant_value_at_2():
     normalized = res.num.monic()
     expect = UniPoly(QQ, [1, 2, -6, -2, 1], "X")
     assert normalized == expect
+
+
+def test_polynomials_in_different_variables_do_not_mix():
+    X = UniPoly.gen(QQ, "X")
+    for op in (lambda: x + X, lambda: x - X, lambda: x * X, lambda: x.divmod(X), lambda: x.gcd(X)):
+        with pytest.raises(ValueError, match="mixed variables"):
+            op()
+    assert x != X and hash(x) != hash(X)
+    assert UniPoly.one(QQ, "x") != UniPoly.one(QQ, "X")
+    c, s = FunctionField("c").gen, FunctionField("s").gen
+    for op in (lambda: c + s, lambda: c * s, lambda: FunctionField("c")(x), lambda: c + x):
+        with pytest.raises(ValueError, match="mixed variables"):
+            op()
+    assert FunctionField("c")(UniPoly.gen(QQ, "c")) == c
 
 
 def test_function_field_arithmetic():

@@ -17,6 +17,7 @@ from ellquot import (
     factor_mod_p,
     factor_over_Q,
     kubert_curve,
+    rational_roots,
     resultant,
 )
 from ellquot import intpoly as ip
@@ -31,7 +32,7 @@ from ellquot.jsonio import (
     poly_to_ascii,
     poly_to_json,
 )
-from oracles import sylvester_resultant
+from oracles import naive_rational_roots, sylvester_resultant
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -67,6 +68,43 @@ def test_factor_over_Q_expands_back(f):
     fl = factor_over_Q(f)
     assert all(g.lc == 1 for g, _ in fl.factors)
     assert fl.expand() == f
+
+
+@st.composite
+def yun_products(draw):
+    """unit * prod g_m^m over 2 or 3 distinct multiplicities m in 1..3.
+
+    The g_m are pairwise coprime and squarefree: 1-2 linear factors with
+    distinct nonzero rational roots each, times x^2 + k (no rational root,
+    k distinct per part) or not, so the product has exactly one Yun part
+    per multiplicity.  Numerators and denominators stay small enough for the
+    divisor scan of the naive oracle.
+    """
+    mults = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True))
+    nonzero = st.builds(Fraction, st.integers(-2, 2).filter(bool), st.integers(1, 2))
+    roots = draw(st.lists(nonzero, min_size=len(mults), max_size=2 * len(mults), unique=True))
+    f = UniPoly.constant(QQ, draw(rationals.filter(bool)))
+    for k, m in enumerate(mults, start=1):
+        g = x ** 2 + k if draw(st.booleans()) else UniPoly.one(QQ)
+        for r in roots[k - 1 :: len(mults)]:
+            g = g * (x - r)
+        f = f * g ** m
+    return f
+
+
+@SETTINGS
+@given(yun_products())
+def test_rational_roots_of_repeated_factors_match_the_naive_oracle(f):
+    assert rational_roots(f) == naive_rational_roots(f)
+
+
+@SETTINGS
+@given(polys(0, 4), polys(0, 3))
+def test_evaluating_at_a_polynomial_composes_as_sympy_does(f, g):
+    X = sympy.Symbol("x")
+    expected = sympy.Poly(_to_sympy(f).as_expr().subs(X, _to_sympy(g).as_expr()), X, domain="QQ")
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+    assert f(g) == UniPoly(QQ, coeffs)
 
 
 def _expand_mod(factors, lc, p):

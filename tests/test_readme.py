@@ -1,8 +1,14 @@
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from ellquot import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,3 +22,23 @@ def test_readme_library_tour_runs():
         [sys.executable, "-c", tour], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+def _readme_commands():
+    """argv of each `ellquot ...` line of the README "Command line" block but verify-paper."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv and argv[0] == "ellquot" and argv[1] != "verify-paper"]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_run(argv, capsys):
+    # the battery line is left out: it is the slowest command, and the
+    # acceptance tests run the battery itself
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    # sweep prints JSON lines, every other command one JSON document
+    docs = [json.loads(line) for line in out.splitlines()] if argv[0] == "sweep" else [json.loads(out)]
+    assert docs and all(isinstance(doc, dict) for doc in docs)
