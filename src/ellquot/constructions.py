@@ -3,8 +3,11 @@
 Each construct_* function evaluates the published parametrization exactly and
 returns the quotient-model parameter(s) together with the point (x, y_b) on
 the model y^2 = f_l(x).  certify() assembles the quotient isogeny, checks the
-point, decides torsion/triviality, and attaches the fiber polynomial used by
-the cyclic-field application.
+model against quotient_cubic (the one table per level, also evaluated by the
+defining identities and AC-1..3), checks the point, decides
+torsion/triviality, and attaches the fiber polynomial used by the
+cyclic-field application.  Only construct_l5 and ConstructionInput take
+as_printed, the uncorrected l = 5 row-1 value.
 
 Model conventions, fixed by matching the quotient tables symbolically:
 
@@ -78,8 +81,16 @@ def _x6(c, v0, alpha):
     return Fraction(1, 4) * (alpha + v0 * v0 * (9 * c + 1) ** 2)
 
 
-def quotient_cubic(l, c):
-    """(b2, 2b4, b6) of the published quotient model y^2 = f_{c,l}(x)."""
+def quotient_cubic(l, *params):
+    """(b2, 2b4, b6) of the published quotient model y^2 = f_l(x) at level l.
+
+    params are the level's parameters as quotient_model takes them: (a1, a3)
+    at l = 3, c at l = 4, 5, 6; rationals, Q(c) or MultiPoly elements.
+    """
+    if l == 3:
+        a1, a3 = params
+        return (a1 * a1, -18 * a1 * a3, -a3 * (4 * a1 ** 3 + 27 * a3))
+    (c,) = params
     if l == 5:
         return (
             c * c - 30 * c + 1,
@@ -91,12 +102,7 @@ def quotient_cubic(l, c):
         return (4 * beta - alpha, 4 * gamma - alpha * beta, -alpha * gamma)
     if l == 4:
         return (1 + 4 * c, 2 * c, c * c)
-    raise ValueError(f"no one-parameter quotient table for l={l}")
-
-
-def quotient_cubic_l3(a1, a3):
-    """(b2, 2b4, b6) of y^2 = 4x^3 + a1^2 x^2 - 18 a1 a3 x - a3(4a1^3 + 27a3)."""
-    return (a1 * a1, -18 * a1 * a3, -a3 * (4 * a1 ** 3 + 27 * a3))
+    raise ValueError(f"no quotient table for l={l}")
 
 
 def _cubic_at(cubic, x, w=1):
@@ -258,7 +264,7 @@ def verify_defining_identity(l: int) -> bool:
         # x = N/u1^2 and G_3 = (u1^3 a3 - u1 a1 - 2)/u1^3; both sides times u1^6
         N = u1 ** 3 * a3 + a1 * u1 + 1
         A = 4 * u1 ** 3 * a3 + (u1 * a1 + 1) ** 2
-        lhs = _cubic_at(quotient_cubic_l3(a1, a3), N, u1 * u1)
+        lhs = _cubic_at(quotient_cubic(3, a1, a3), N, u1 * u1)
         return lhs == A * (u1 ** 3 * a3 - u1 * a1 - 2) ** 2
     if l == 6:
         c, v0 = MultiPoly.gens(("c", "v0"))
@@ -321,19 +327,25 @@ class ConstructionInput:
 
 @dataclass
 class NontrivialPointCertificate:
-    """Evidence record for one constructed quotient-curve point."""
+    """Evidence record for one constructed quotient-curve point.
+
+    A certificate that stops early sets only what it established.
+    """
 
     l: int
     params: dict
-    curve_F: WeierstrassCurve | None
-    point: CurvePoint | None
-    b_point: tuple | None
-    on_curve: bool
-    infinite_order: bool
-    nontrivial: bool
-    fiber: FiberPolynomial | None
+    curve_F: WeierstrassCurve | None = None
+    point: CurvePoint | None = None
+    b_point: tuple | None = None
+    infinite_order: bool = False
+    nontrivial: bool = False
+    fiber: FiberPolynomial | None = None
     excluded_reason: str | None = None
     witness: CurvePoint | None = None
+
+    @property
+    def on_curve(self) -> bool:
+        return self.point is not None
 
     @property
     def valid(self) -> bool:
@@ -363,25 +375,22 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
     try:
         params, model_args, x, yb = _construct(inp)
     except DegenerateParameterError as exc:
-        return NontrivialPointCertificate(
-            inp.l, dict(inp.params), None, None, None, False, False, False, None,
-            excluded_reason=str(exc),
-        )
+        return NontrivialPointCertificate(inp.l, dict(inp.params), excluded_reason=str(exc))
     try:
         model = quotient_model(inp.l, *model_args)
     except (SingularCurveError, DegenerateParameterError, ZeroDivisionError) as exc:
         return NontrivialPointCertificate(
-            inp.l, params, None, None, (x, yb), False, False, False, None,
+            inp.l, params, b_point=(x, yb),
             excluded_reason=f"singular or undefined curve: {exc}",
         )
     F = model.curve
-    if not model_matches_table(inp.l, params, F):
+    if not model_matches_table(model):
         raise InvariantError(f"model drifted from table: {F.b_form()}")
     try:
         point = F.from_b_point(x, yb)
     except OffCurveError:
         return NontrivialPointCertificate(
-            inp.l, params, F, None, (x, yb), False, False, False, None,
+            inp.l, params, curve_F=F, b_point=(x, yb),
             excluded_reason=(
                 "constructed point is not on the model curve"
                 + (" (printed row-1 formula contradicts A_5(c) = z^2)" if inp.as_printed else "")
@@ -389,7 +398,7 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
         )
     if yb == 0:
         return NontrivialPointCertificate(
-            inp.l, params, F, point, (x, yb), True, False, False, None,
+            inp.l, params, curve_F=F, point=point, b_point=(x, yb),
             excluded_reason="torsion point (y=0)",
         )
     infinite = F.is_infinite_order(point)
@@ -401,19 +410,16 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
     elif not infinite:
         reason = "torsion point"
     return NontrivialPointCertificate(
-        inp.l, params, F, point, (x, yb), True, infinite, nontrivial, fiber,
+        inp.l, params, F, point, (x, yb), infinite, nontrivial, fiber,
         excluded_reason=reason, witness=witness,
     )
 
 
-def model_matches_table(l, params, F: WeierstrassCurve) -> bool:
-    """Whether the model F has the (b2, 2b4, b6) of the published table."""
-    b = F.b_form()
-    if l == 3:
-        want = quotient_cubic_l3(params["a1"], params["a3"])
-    else:
-        want = quotient_cubic(l, params["c"])
-    return (b.b2, 2 * b.b4, b.b6) == tuple(F.field(w) for w in want)
+def model_matches_table(model: QuotientModel) -> bool:
+    """Whether model.curve has the (b2, 2b4, b6) of quotient_cubic at model.parameter."""
+    b = model.curve.b_form()
+    want = quotient_cubic(model.l, *model.parameter)
+    return (b.b2, 2 * b.b4, b.b6) == tuple(model.curve.field(w) for w in want)
 
 
 def _no_rational_preimage(model: QuotientModel, x, yb):

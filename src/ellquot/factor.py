@@ -452,23 +452,21 @@ def rational_roots(f: UniPoly) -> list:
 
 
 def _lift_rational_roots(g, target, bound_num, bound_den):
-    """Candidate rational roots of squarefree primitive g, verified exactly."""
+    """Candidate rational roots of squarefree primitive g, verified exactly.
+
+    g mod p is squarefree (_squarefree_primes), so every root r of g mod p is
+    simple and g'(r) is a unit mod p.  Newton's step keeps r fixed mod p, so
+    g'(r) stays a unit modulo every power of p and its inverse exists.
+    """
     p = next(_squarefree_primes(g, primes()))[0]
     mod_roots = [r for r in range(p) if ip.evaluate(g, r) % p == 0]
     out = []
     dg = ip.deriv(g)
     for r in mod_roots:
         m = p
-        ok = True
         while m < target:
             m = m * m
-            dr = ip.evaluate(dg, r) % m
-            if math.gcd(dr, m) != 1:
-                ok = False
-                break
-            r = (r - ip.evaluate(g, r) * pow(dr, -1, m)) % m
-        if not ok:
-            continue
+            r = (r - ip.evaluate(g, r) * pow(ip.evaluate(dg, r), -1, m)) % m
         cand = _rational_reconstruct(r, m, bound_num, bound_den)
         if cand is not None and ip.evaluate(g, cand) == 0:
             out.append(cand)

@@ -24,7 +24,7 @@ class UniPoly:
 
     def __init__(self, field, coeffs, var: str = "x"):
         zero = field.zero
-        cs = [field(c) if not _is_elem(c, zero) else c for c in coeffs]
+        cs = [field(c) for c in coeffs]
         while cs and cs[-1] == zero:
             cs.pop()
         self.field = field
@@ -252,10 +252,6 @@ class UniPoly:
                 continue
             parts.append(f"({c})*{self.var}^{k}")
         return " + ".join(parts)
-
-
-def _is_elem(c, zero):
-    return type(c) is type(zero)
 
 
 def prem(f: UniPoly, g: UniPoly) -> UniPoly:

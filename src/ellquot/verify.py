@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .constructions import (
     ConstructionInput,
-    a5,
     certify,
     construct_l3,
     construct_l4,
@@ -51,8 +50,7 @@ def _rnd(rng, lo=-9, hi=9, dmax=9, exclude=()):
 
 def _quotient_matches_table(l):
     """The degree-l quotient model over Q(c) against the published table."""
-    c = FunctionField("c").gen
-    return model_matches_table(l, {"c": c}, quotient_model(l, c).curve)
+    return model_matches_table(quotient_model(l, FunctionField("c").gen))
 
 
 def ac1():
@@ -81,7 +79,7 @@ def ac4():
     return all(results.values()), f"exact multivariate identities f = A*G^2: {results}"
 
 
-def draw_input(l, rng, as_printed=False):
+def draw_input(l, rng):
     """One admissible ConstructionInput for level l, drawn from the seeded rng.
 
     Draws that violate an exact precondition are resampled.  AC-5 and
@@ -105,12 +103,9 @@ def draw_input(l, rng, as_printed=False):
             row = rng.choice([1, 2, 3])
             if row in (1, 2):
                 return ConstructionInput(
-                    5, row=row, params={"z": _rnd(rng, lo=-29, hi=29, exclude=(0,))},
-                    as_printed=as_printed,
+                    5, row=row, params={"z": _rnd(rng, lo=-29, hi=29, exclude=(0,))}
                 )
-            return ConstructionInput(
-                5, row=3, params={"t": _rnd(rng), "m": _rnd(rng)}, as_printed=as_printed
-            )
+            return ConstructionInput(5, row=3, params={"t": _rnd(rng), "m": _rnd(rng)})
         if l == 6:
             v0 = _rnd(rng, exclude=(0,))
             z = _rnd(rng, lo=-29, hi=29)
@@ -119,17 +114,12 @@ def draw_input(l, rng, as_printed=False):
             return ConstructionInput(6, params={"v0": v0, "z": z})
 
 
-def _check_fixtures(as_printed):
+def _check_fixtures():
     """The four concrete fixtures, by direct substitution."""
     checks = []
-    c, x, yb = construct_l5(1, z=1, as_printed=as_printed)
-    if as_printed:
-        # the printed row-1 value must satisfy the defining identity, and does
-        # not: A_5(c) = -4c - 3 = -1 != z^2 = 1 at c = (1-3)/4
-        checks.append(("l5-row1-z1-printed-identity-A5(c)=z^2", a5(c, Fraction(-1)) == 1))
-    else:
-        checks.append(("l5-row1-z1", (c, x, yb) == (-1, 2, 11)))
-        checks.append(("l5-f(2)=121", 4 * 8 + 32 * 4 + 44 * 2 - 127 == yb * yb))
+    c, x, yb = construct_l5(1, z=1)
+    checks.append(("l5-row1-z1", (c, x, yb) == (-1, 2, 11)))
+    checks.append(("l5-f(2)=121", 4 * 8 + 32 * 4 + 44 * 2 - 127 == yb * yb))
     a3, x3, yb3 = construct_l3(0, 1, 5)
     checks.append(("l3-(0,1,5)", (a3, x3, yb3) == (6, 7, 20)))
     checks.append(("l3-f(7)=400", 4 * 343 - 972 == yb3 * yb3))
@@ -149,7 +139,7 @@ def _check_fixtures(as_printed):
     return checks
 
 
-def ac5(seed, as_printed, certificates_out):
+def ac5(seed, certificates_out):
     """50 seeded draws per l must certify valid, bar <10% documented degeneracies.
 
     The valid certificates are appended to certificates_out[l] for AC-6.
@@ -159,7 +149,7 @@ def ac5(seed, as_printed, certificates_out):
     e.g. the fixture point (7,20) is the image of (3,-9)), so this criterion
     fails for l=3; the failure is reported, not masked.
     """
-    fixture_checks = _check_fixtures(as_printed)
+    fixture_checks = _check_fixtures()
     fixtures_ok = all(ok for _, ok in fixture_checks)
     per_l = {}
     all_pass = fixtures_ok
@@ -169,7 +159,7 @@ def ac5(seed, as_printed, certificates_out):
         degenerate = []
         invalid_unexplained = 0
         for _ in range(50):
-            inp = draw_input(l, rng, as_printed=as_printed)
+            inp = draw_input(l, rng)
             cert = certify(inp)
             if cert.valid:
                 certificates_out.setdefault(l, []).append(cert)
@@ -320,8 +310,8 @@ def ac11(seed, prime_budget=DEFAULT_PRIME_BUDGET):
     return ok, f"{20 - len(exceptions)}/20 dihedral-consistent; exceptions: {exceptions}"
 
 
-def run_battery(seed=0, prime_budget=DEFAULT_PRIME_BUDGET, as_printed=False):
-    """Execute AC-1..AC-12 and return the summary structure."""
+def run_battery(seed=0, prime_budget=DEFAULT_PRIME_BUDGET):
+    """Execute AC-1..AC-12 and return the summary structure (keys in the README)."""
     start = time.perf_counter()
     criteria = []
     certificates = {}
@@ -330,7 +320,7 @@ def run_battery(seed=0, prime_budget=DEFAULT_PRIME_BUDGET, as_printed=False):
         ("AC-2", ac2),
         ("AC-3", ac3),
         ("AC-4", ac4),
-        ("AC-5", lambda: ac5(seed, as_printed, certificates)),
+        ("AC-5", lambda: ac5(seed, certificates)),
         ("AC-6", lambda: ac6(certificates, prime_budget)),
         ("AC-7", ac7),
         ("AC-8", ac8),
@@ -355,7 +345,6 @@ def run_battery(seed=0, prime_budget=DEFAULT_PRIME_BUDGET, as_printed=False):
     summary = {
         "seed": seed,
         "prime_budget": prime_budget,
-        "as_printed": as_printed,
         "elapsed_seconds": round(elapsed, 2),
         "criteria": criteria,
         "passed": sum(1 for r in criteria if r["passed"]),

@@ -45,6 +45,14 @@ def _criterion(battery, name):
     assert entry["passed"], entry["detail"]
 
 
+def test_summary_has_the_documented_keys(battery):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert list(battery) == [
+        "seed", "prime_budget", "elapsed_seconds", "criteria", "passed", "failed", "expected_failures"
+    ]
+    assert all(f"`{key}`" in readme for key in battery)
+
+
 def test_ac1_velu_codomain_l5(battery):
     _criterion(battery, "AC-1")
 

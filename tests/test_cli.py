@@ -100,6 +100,13 @@ def test_construct_as_printed_toggle(capsys):
     assert "row-1" in doc["diagnostics"][0]
 
 
+@pytest.mark.parametrize("command", [["sweep", "--l", "5"], ["verify-paper"]])
+def test_as_printed_is_a_usage_error_outside_construct(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--as-printed"])
+    assert exc.value.code == 1
+
+
 def test_construct_missing_parameter_domain_error(capsys):
     code, out = run_cli(capsys, "construct", "--l", "4", "--u", "1")
     assert code == 2

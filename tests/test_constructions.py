@@ -25,7 +25,7 @@ from ellquot import (
     quotient_model,
     verify_defining_identity,
 )
-from ellquot.constructions import a5, quotient_cubic, quotient_cubic_l3
+from ellquot.constructions import a5, quotient_cubic
 
 
 class TestConstructL5:
@@ -133,8 +133,8 @@ class TestConstructL6:
         # leaves f(x_{c,6}) a non-square at the fixture
         exact = constructions.quotient_cubic
 
-        def perturbed(l, c):
-            b2, b4x2, b6 = exact(l, c)
+        def perturbed(l, *params):
+            b2, b4x2, b6 = exact(l, *params)
             return (b2, b4x2, b6 + 1) if l == 6 else (b2, b4x2, b6)
 
         monkeypatch.setattr(constructions, "quotient_cubic", perturbed)
@@ -162,7 +162,7 @@ def test_perturbed_identity_fails(monkeypatch):
         ("g5", 5, plus_one),
         ("_x6", 6, plus_one),
         ("_l6_factors", 6, shift_first),
-        ("quotient_cubic_l3", 3, shift_first),
+        ("quotient_cubic", 3, shift_first),
         ("quotient_cubic", 4, shift_first),
     ):
         with monkeypatch.context() as m:
@@ -178,7 +178,23 @@ def test_quotient_model_tables_symbolic():
         assert (b.b2, 2 * b.b4, b.b6) == quotient_cubic(l, c)
     m3 = quotient_model(3, Fraction(2), Fraction(3))
     b = m3.curve.b_form()
-    assert (b.b2, 2 * b.b4, b.b6) == quotient_cubic_l3(Fraction(2), Fraction(3))
+    assert (b.b2, 2 * b.b4, b.b6) == quotient_cubic(3, Fraction(2), Fraction(3))
+
+
+def test_certify_checks_the_l3_table(monkeypatch):
+    # the l = 3 model is checked against the same quotient_cubic as the other
+    # levels: a perturbed l = 3 table must stop certify
+    exact = constructions.quotient_cubic
+
+    def perturbed(l, *params):
+        b2, b4x2, b6 = exact(l, *params)
+        return (b2 + 1, b4x2, b6) if l == 3 else (b2, b4x2, b6)
+
+    inp = ConstructionInput(3, params={"a1": 0, "u1": 1, "z": 5})
+    assert certify(inp).on_curve
+    monkeypatch.setattr(constructions, "quotient_cubic", perturbed)
+    with pytest.raises(InvariantError, match="model drifted from table"):
+        certify(inp)
 
 
 class TestCertify:
@@ -250,6 +266,25 @@ class TestCertify:
         cert = certify(ConstructionInput(5, row=1, params={"z": 1}, as_printed=True))
         assert not cert.valid
         assert "row-1" in cert.excluded_reason
+
+
+@pytest.mark.parametrize(
+    "inp, curve, point, b_point",
+    [
+        (ConstructionInput(3, params={"a1": 0, "u1": 0, "z": 5}), False, False, False),
+        (ConstructionInput(3, params={"a1": 2, "u1": 1, "z": 3}), False, False, True),
+        (ConstructionInput(5, row=1, params={"z": 1}, as_printed=True), True, False, True),
+        (ConstructionInput(5, row=2, params={"z": 0}), True, True, True),
+    ],
+    ids=["precondition", "singular", "off-curve", "y=0"],
+)
+def test_early_exits_record_only_what_they_established(inp, curve, point, b_point):
+    cert = certify(inp)
+    assert cert.excluded_reason and not cert.valid
+    established = (cert.curve_F is not None, cert.point is not None, cert.b_point is not None)
+    assert established == (curve, point, b_point)
+    assert cert.on_curve == point
+    assert not (cert.infinite_order or cert.nontrivial) and cert.fiber is cert.witness is None
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,13 @@ def test_polynomials_in_different_variables_do_not_mix():
     assert FunctionField("c")(UniPoly.gen(QQ, "c")) == c
 
 
+def test_coefficients_of_another_field_are_refused_when_built():
+    Fc, Fs = FunctionField("c"), FunctionField("s")
+    with pytest.raises(ValueError, match="mixed variables"):
+        UniPoly(Fc, [Fs.gen, 1])
+    assert UniPoly(Fc, [Fc.gen, 1]).coeffs == (Fc.gen, Fc.one)
+
+
 def test_function_field_arithmetic():
     Fc = FunctionField("c")
     c = Fc.gen
