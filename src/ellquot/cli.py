@@ -20,7 +20,7 @@ from .curves import KUBERT_PARAMETERS, kubert_curve
 from .errors import EllquotError, check_parameters
 from .families import FAMILIES, family_polynomial
 from .funcfield import FunctionField
-from .galois import DEFAULT_PRIME_BUDGET, check_prime_budget, galois_group
+from .galois import DEFAULT_PRIME_BUDGET, galois_group
 from .isogeny import velu_quotient
 from .jsonio import (
     certificate_to_json,
@@ -211,7 +211,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    check_prime_budget(args.primes)
     summary = run_battery(seed=args.seed, prime_budget=args.primes)
     print(json.dumps(summary, indent=2))
     for crit in summary["criteria"]:

@@ -2,12 +2,13 @@
 
 Each construct_* function evaluates the published parametrization exactly and
 returns the quotient-model parameter(s) together with the point (x, y_b) on
-the model y^2 = f_l(x).  certify() assembles the quotient isogeny, checks the
-model against quotient_cubic (the one table per level, also evaluated by the
-defining identities and AC-1..3), checks the point, decides
-torsion/triviality, and attaches the fiber polynomial used by the
-cyclic-field application.  Only construct_l5 and ConstructionInput take
-as_printed, the uncorrected l = 5 row-1 value.
+the model y^2 = f_l(x), taken from _point, the one point formula per level
+that the defining identities also evaluate.  certify() assembles the
+quotient isogeny, checks the model against quotient_cubic (the one table per
+level, also evaluated by the defining identities and AC-1..3), checks the
+point, decides torsion/triviality, and attaches the fiber polynomial used by
+the cyclic-field application.  Only construct_l5 and ConstructionInput take
+as_printed, the uncorrected l = 5 row-1 value, valid at (l, row) = (5, 1).
 
 Model conventions, fixed by matching the quotient tables symbolically:
 
@@ -48,11 +49,6 @@ from .isogeny import (
 from .multipoly import MultiPoly
 
 
-def g5(c):
-    """G_5(c) = c^2 - 11c - 1."""
-    return c * c - 11 * c - 1
-
-
 def a5(c, u0):
     """A_5(c) for the given u0 row parameter."""
     return (
@@ -62,11 +58,6 @@ def a5(c, u0):
     )
 
 
-def x5(c, u0):
-    """x_{c,5} = -(u0+1)c^2 + (11u0+8)c + u0."""
-    return -(u0 + 1) * c * c + (11 * u0 + 8) * c + u0
-
-
 def _l6_factors(c):
     """(alpha, beta, gamma) with f_{c,6}(x) = (4x - alpha)(x^2 + beta x + gamma)."""
     return (
@@ -74,11 +65,6 @@ def _l6_factors(c):
         2 * c * (2 * c + 1),
         c * (4 * c ** 3 + 4 * c * c + c + 4),
     )
-
-
-def _x6(c, v0, alpha):
-    """x_{c,6} = (alpha + v0^2 (9c+1)^2)/4, alpha = 19c^2 + 14c - 1."""
-    return Fraction(1, 4) * (alpha + v0 * v0 * (9 * c + 1) ** 2)
 
 
 def quotient_cubic(l, *params):
@@ -103,6 +89,41 @@ def quotient_cubic(l, *params):
     if l == 4:
         return (1 + 4 * c, 2 * c, c * c)
     raise ValueError(f"no quotient table for l={l}")
+
+
+# The variables of each level's point formula, in _point's order.
+_POINT_VARIABLES = {3: ("a1", "a3", "u1"), 4: ("c", "u"), 5: ("c", "u0"), 6: ("c", "v0")}
+
+
+def _point(l, *params):
+    """(table parameters, X, s, A, G): the one point formula of level l.
+
+    The point x_{c,l} = X/s^2, y_b = z G/s^3 with z^2 = A lies on the model
+    of quotient_cubic(l, *table parameters), so the defining identity reads
+    s^6 f_l(X/s^2) = A G^2.  params are _POINT_VARIABLES[l], rationals or
+    MultiPoly generators; X, A and G are polynomials in them.
+    """
+    if l == 3:
+        a1, a3, u1 = params
+        A = 4 * u1 ** 3 * a3 + (u1 * a1 + 1) ** 2
+        return (a1, a3), u1 ** 3 * a3 + a1 * u1 + 1, u1, A, u1 ** 3 * a3 - u1 * a1 - 2
+    c, v = params
+    if l == 4:
+        return (c,), v * v - c, 1, 4 * c * c - 8 * v * v * c + v * v * (4 * v * v + 1), v
+    if l == 5:
+        X = -(v + 1) * c * c + (11 * v + 8) * c + v
+        return (c,), X, 1, a5(c, v), c * c - 11 * c - 1
+    if l == 6:
+        w = 3 * v * v
+        A = 9 * (w + 1) ** 2 * c * c + 2 * (w + 1) * (w + 5) * c + (v * v - 1) ** 2
+        return (c,), _l6_factors(c)[0] + v * v * (9 * c + 1) ** 2, 2, A, 2 * v * (9 * c + 1) ** 2
+    raise ValueError(f"no point formula for l={l}")
+
+
+def _model_point(l, z, *params):
+    """(x, y_b) = (X/s^2, z G/s^3) of _point(l, *params) for z^2 = A."""
+    _, X, s, _, G = _point(l, *params)
+    return X / (s * s), z * G / s ** 3
 
 
 def _cubic_at(cubic, x, w=1):
@@ -168,9 +189,16 @@ def quotient_model(l, *params) -> QuotientModel:
 def construct_l5(row: int, *, z=None, t=None, m=None, as_printed: bool = False):
     """(c, x, y_b) for the three published l=5 parametrization rows.
 
-    Row 1 as printed gives c = (z^2-3)/4, which contradicts the defining
-    identity A_5(c) = z^2 at u0 = -1 (A_5 = -4c-3 forces c = -(z^2+3)/4);
-    the corrected value is used unless as_printed is set.
+    Each row fixes c, u0 and z with z^2 = A_5(c, u0); x and y_b come from
+    _point.  Row 1 as printed gives c = (z^2-3)/4, which contradicts the
+    defining identity A_5(c) = z^2 at u0 = -1 (A_5 = -4c-3 forces
+    c = -(z^2+3)/4); the corrected value is used unless as_printed is set.
+
+    Row 3 needs no square test on the data: with u0 = (t^2-1)/4 and c as
+    below, A_5(c, u0) = (P / (4 den))^2 identically in t and m, where
+    P = t^9 + 7t^7 + 13t^5 - 3t^3 - 18t + 44mt^6 + 132mt^4 + 84mt^2 - 4m
+    - 16m^2t^3 + 16m^2t and den = t^6 + 8t^4 + 21t^2 + 16m^2 + 18 >= 18.
+    A non-square there is a defect of this code and raises InvariantError.
     """
     if row in (1, 2):
         if z is None:
@@ -185,57 +213,46 @@ def construct_l5(row: int, *, z=None, t=None, m=None, as_printed: bool = False):
     elif row == 3:
         if t is None or m is None:
             raise DegenerateParameterError("row 3 needs the parameters t and m")
-        t = QQ(t)
-        m = QQ(m)
+        t, m = QQ(t), QQ(m)
         u0 = (t * t - 1) / 4
         den = t ** 6 + 8 * t ** 4 + 21 * t * t + 16 * m * m + 18
         c = (11 * t ** 6 + 33 * t ** 4 - 8 * m * t ** 3 + 21 * t * t + 8 * m * t - 1) / den
         z = rational_sqrt(a5(c, u0))
         if z is None:
-            raise DegenerateParameterError(
-                "row 3 indicator A_5(c) is not a rational square at these parameters"
-            )
+            raise InvariantError(f"A_5 is not a rational square at row 3, t = {t}, m = {m}")
     else:
         raise DegenerateParameterError(f"row must be 1, 2 or 3, got {row!r}")
-    return c, x5(c, u0), z * g5(c)
+    return (c, *_model_point(5, z, c, u0))
 
 
 def construct_l3(a1, u1, z):
-    """(a3, x, y_b) on y^2 = 4x^3 + a1^2 x^2 - 18 a1 a3 x - a3(4a1^3 + 27a3)."""
-    a1 = QQ(a1)
-    u1 = QQ(u1)
-    z = QQ(z)
+    """(a3, x, y_b): a3 solves A_3 = z^2, and x, y_b come from _point(3, a1, a3, u1)."""
+    a1, u1, z = QQ(a1), QQ(u1), QQ(z)
     if u1 == 0:
         raise DegenerateParameterError("u1 must be nonzero")
     a3 = (z * z - (u1 * a1 + 1) ** 2) / (4 * u1 ** 3)
-    x = u1 * a3 + (a1 * u1 + 1) / (u1 * u1)
-    g3 = (u1 ** 3 * a3 - u1 * a1 - 2) / u1 ** 3
-    yb = z * g3
-    return a3, x, yb
+    return (a3, *_model_point(3, z, a1, a3, u1))
 
 
 def construct_l4(u, v):
-    """(c, x, y_b) with x = u^2 - c on y^2 = (x+c)(4x^2+x+c)."""
-    u = QQ(u)
-    v = QQ(v)
+    """(c, x, y_b): z = v + 2c has z^2 = A_4, and x, y_b come from _point(4, c, u)."""
+    u, v = QQ(u), QQ(v)
     den = 4 * v + 8 * u * u
     if den == 0:
         raise DegenerateParameterError("4v + 8u^2 must be nonzero")
     c = (u * u * (4 * u * u + 1) - v * v) / den
-    x = u * u - c
-    yb = u * (v + 2 * c)
-    return c, x, yb
+    return (c, *_model_point(4, v + 2 * c, c, u))
 
 
 def construct_l6(v0, z):
-    """(c, x, y_b) with x = (19c^2+14c-1+v0^2(9c+1)^2)/4 on y^2 = f_{c,6}(x)."""
-    v0 = QQ(v0)
-    z = QQ(z)
+    """(c, x, y_b): x from _point(6, c, v0), y_b the nonnegative root of f_{c,6}(x)."""
+    v0, z = QQ(v0), QQ(z)
     den = (z + 3 + 9 * v0 * v0) * (z - 3 - 9 * v0 * v0)
     if den == 0:
         raise DegenerateParameterError("(z+3+9v0^2)(z-3-9v0^2) must be nonzero")
     c = 2 * (9 * v0 ** 4 + 18 * v0 * v0 - v0 * v0 * z + z + 5) / den
-    x = _x6(c, v0, _l6_factors(c)[0])
+    _, X, s, _, _ = _point(6, c, v0)
+    x = X / (s * s)
     fx = _cubic_at(quotient_cubic(6, c), x)
     yb = rational_sqrt(fx)
     if yb is None:
@@ -251,39 +268,16 @@ def construct_l6(v0, z):
 
 
 def verify_defining_identity(l: int) -> bool:
-    """Exact multivariate check of f_{c,l}(x_{c,l}) = A_l G_l^2.
+    """Exact multivariate check of f_l(x_{c,l}) = A_l G_l^2 at level l.
 
-    The quotient cubics and, where they are polynomial, the constructions'
-    own x_{c,l} and G_l are evaluated at MultiPoly generators.
+    _point and quotient_cubic, the very copies that construct_l3..l6 and
+    certify evaluate, are taken at MultiPoly generators and compared as
+    s^6 f_l(X/s^2) = A G^2; no level retypes its formula here.
     """
-    if l == 5:
-        c, u0 = MultiPoly.gens(("c", "u0"))
-        return _cubic_at(quotient_cubic(5, c), x5(c, u0)) == a5(c, u0) * g5(c) ** 2
-    if l == 3:
-        a1, a3, u1 = MultiPoly.gens(("a1", "a3", "u1"))
-        # x = N/u1^2 and G_3 = (u1^3 a3 - u1 a1 - 2)/u1^3; both sides times u1^6
-        N = u1 ** 3 * a3 + a1 * u1 + 1
-        A = 4 * u1 ** 3 * a3 + (u1 * a1 + 1) ** 2
-        lhs = _cubic_at(quotient_cubic(3, a1, a3), N, u1 * u1)
-        return lhs == A * (u1 ** 3 * a3 - u1 * a1 - 2) ** 2
-    if l == 6:
-        c, v0 = MultiPoly.gens(("c", "v0"))
-        alpha, beta, gamma = _l6_factors(c)
-        X = 4 * _x6(c, v0, alpha)  # integer coefficients, unlike x_{c,6}
-        A = (
-            9 * (3 * v0 * v0 + 1) ** 2 * c * c
-            + 2 * (3 * v0 * v0 + 1) * (3 * v0 * v0 + 5) * c
-            + (v0 * v0 - 1) ** 2
-        )
-        # 16 f(x) = (X - alpha)(X^2 + 4 beta X + 16 gamma) and G_6 = v0 (9c+1)^2 / 4
-        lhs = (X - alpha) * (X * X + 4 * beta * X + 16 * gamma)
-        return lhs == A * v0 * v0 * (9 * c + 1) ** 4
-    if l == 4:
-        c, u = MultiPoly.gens(("c", "u"))
-        # x_{c,4} = u^2 - c, A_4 = 4c^2 - 8u^2 c + u^2(4u^2 + 1), G_4 = u
-        lhs = _cubic_at(quotient_cubic(4, c), u * u - c)
-        return lhs == u * u * (4 * c * c - 8 * u * u * c + u * u * (4 * u * u + 1))
-    raise ValueError(f"no defining identity for l={l}")
+    if l not in _POINT_VARIABLES:
+        raise ValueError(f"no defining identity for l={l}")
+    table, X, s, A, G = _point(l, *MultiPoly.gens(_POINT_VARIABLES[l]))
+    return _cubic_at(quotient_cubic(l, *table), X, s * s) == A * G ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +301,7 @@ class ConstructionInput:
     """Free parameters selecting one constructed point.
 
     They are checked against CONSTRUCTION_PARAMETERS once, here, and kept in
-    the table's order.
+    the table's order; as_printed is valid at (l, row) = (5, 1) only.
     """
 
     l: int
@@ -321,6 +315,8 @@ class ConstructionInput:
         names = CONSTRUCTION_PARAMETERS.get(key)
         if names is None:
             raise ValueError(f"no (l, row) = {key} in {CONSTRUCTION_PARAMETERS}")
+        if self.as_printed and key != (5, 1):
+            raise ValueError(f"as_printed applies to (l, row) = (5, 1) only, not {key}")
         check_parameters(f"the (l, row) = {key} construction", names, params)
         self.params = {k: QQ(params[k]) for k in names}
 

@@ -37,7 +37,8 @@ from .families import (
 )
 from .fields import is_square
 from .funcfield import FunctionField
-from .galois import CYCLIC_PATTERNS, DEFAULT_PRIME_BUDGET, frobenius_patterns, galois_group
+from .galois import CYCLIC_PATTERNS, DEFAULT_PRIME_BUDGET, check_prime_budget
+from .galois import frobenius_patterns, galois_group
 from .poly import discriminant
 
 
@@ -311,7 +312,8 @@ def ac11(seed, prime_budget=DEFAULT_PRIME_BUDGET):
 
 
 def run_battery(seed=0, prime_budget=DEFAULT_PRIME_BUDGET):
-    """Execute AC-1..AC-12 and return the summary structure (keys in the README)."""
+    """Check prime_budget, run AC-1..AC-12 and return the summary (keys in the README)."""
+    check_prime_budget(prime_budget)
     start = time.perf_counter()
     criteria = []
     certificates = {}

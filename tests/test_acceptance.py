@@ -97,6 +97,18 @@ def test_ac11_generic_dihedral(battery):
     _criterion(battery, "AC-11")
 
 
+@pytest.mark.parametrize("budget", [0, 1001])
+def test_run_battery_rejects_an_out_of_range_prime_budget(monkeypatch, budget):
+    from ellquot import verify
+
+    def no_criterion(*args, **kwargs):
+        raise AssertionError("a criterion was started")
+
+    monkeypatch.setattr(verify, "ac1", no_criterion)
+    with pytest.raises(ValueError, match="prime budget"):
+        run_battery(prime_budget=budget)
+
+
 def test_ac11_reports_its_prime_budget(monkeypatch):
     from ellquot import verify
 

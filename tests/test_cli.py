@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from ellquot import cli, families
+from ellquot import cli, families, verify
 from ellquot.cli import main
 from ellquot.errors import InvariantError
 
@@ -117,6 +117,8 @@ def test_construct_missing_parameter_domain_error(capsys):
     [
         ("construct --l 4 --u 1 --v 1 --z 3", "unexpected ['z']"),
         ("construct --l 5 --z 2", "(5, 1): ('z',)"),
+        ("construct --l 4 --u 1 --v 1 --as-printed", "(5, 1) only, not (4, None)"),
+        ("construct --l 5 --row 2 --z 1 --as-printed", "(5, 1) only, not (5, 2)"),
         ("family --l 5 --c 2 --a1 3", "unexpected ['a1']"),
         ("family --l 3 --a1 0", "missing ['a3']"),
         ("quotient --l 5 --symbolic --c 2", "unexpected ['c']"),
@@ -259,10 +261,10 @@ def test_sweep_count_above_the_cap_is_a_domain_error(capsys, monkeypatch):
 
 
 def test_verify_paper_prime_budget_above_the_cap_is_a_domain_error(capsys, monkeypatch):
-    def no_battery(*args, **kwargs):
-        raise AssertionError("the battery was started")
+    def no_criterion(*args, **kwargs):
+        raise AssertionError("a criterion was started")
 
-    monkeypatch.setattr(cli, "run_battery", no_battery)
+    monkeypatch.setattr(verify, "ac1", no_criterion)
     code, out = run_cli(capsys, "verify-paper", "--primes", "100000")
     assert code == 2
     assert "exceeds the cap" in json.loads(out)["payload"]["message"]

@@ -55,6 +55,26 @@ class TestConstructL5:
         assert c == 16 * z * z + 18
         assert x == -64 * z ** 4 - 148 * z * z - Fraction(345, 4)
 
+    def test_row3_indicator_is_a_square_identically(self):
+        # sympy serves only as an oracle: A_5(c, u0) = (P/(4 den))^2 on row 3,
+        # so the row has no non-square parameters
+        import sympy
+
+        t, m = sympy.symbols("t m")
+        den = t ** 6 + 8 * t ** 4 + 21 * t ** 2 + 16 * m ** 2 + 18
+        c = (11 * t ** 6 + 33 * t ** 4 - 8 * m * t ** 3 + 21 * t ** 2 + 8 * m * t - 1) / den
+        P = (
+            t ** 9 + 7 * t ** 7 + 13 * t ** 5 - 3 * t ** 3 - 18 * t
+            + 44 * m * t ** 6 + 132 * m * t ** 4 + 84 * m * t ** 2 - 4 * m
+            - 16 * m ** 2 * t ** 3 + 16 * m ** 2 * t
+        )
+        assert sympy.cancel(a5(c, (t ** 2 - 1) / 4) - (P / (4 * den)) ** 2) == 0
+
+    def test_row3_non_square_is_a_defect(self, monkeypatch):
+        monkeypatch.setattr(constructions, "a5", lambda c, u0: Fraction(2))
+        with pytest.raises(InvariantError):
+            construct_l5(3, t=2, m=1)
+
     def test_row3_formula_and_square_indicator(self):
         t, m = Fraction(2), Fraction(1)
         c, x, yb = construct_l5(3, t=t, m=m)
@@ -147,6 +167,20 @@ def test_defining_identities_exact():
         assert verify_defining_identity(l)
 
 
+def _perturbed_point(level, index):
+    # shifts entry index of _point's (table, X, s, A, G) at one level by 1
+    def perturb(f):
+        def point(l, *params):
+            out = list(f(l, *params))
+            if l == level:
+                out[index] = out[index] + 1
+            return tuple(out)
+
+        return point
+
+    return perturb
+
+
 def test_perturbed_identity_fails(monkeypatch):
     # the identities evaluate the constructions' own formulas, so perturbing
     # any one of them must break its identity
@@ -156,18 +190,31 @@ def test_perturbed_identity_fails(monkeypatch):
     def shift_first(f):
         return lambda *args: (f(*args)[0] + 1,) + f(*args)[1:]
 
+    # X (x_{c,l} = X/s^2), A and G of the one point formula at every level
+    shared = [("_point", l, _perturbed_point(l, i)) for l in (3, 4, 5, 6) for i in (1, 3, 4)]
     for name, l, perturb in (
         ("a5", 5, plus_one),
-        ("x5", 5, plus_one),
-        ("g5", 5, plus_one),
-        ("_x6", 6, plus_one),
         ("_l6_factors", 6, shift_first),
         ("quotient_cubic", 3, shift_first),
         ("quotient_cubic", 4, shift_first),
+        *shared,
     ):
         with monkeypatch.context() as m:
             m.setattr(constructions, name, perturb(getattr(constructions, name)))
-            assert not verify_defining_identity(l), name
+            assert not verify_defining_identity(l), (name, l)
+
+
+@pytest.mark.parametrize(
+    "l, construct, args", [(3, construct_l3, (0, 1, 5)), (4, construct_l4, (1, 1))]
+)
+@pytest.mark.parametrize("index", [1, 4])
+def test_constructions_and_identity_share_one_point_formula(monkeypatch, l, construct, args, index):
+    # one copy: perturbing x_{c,l} (index 1) or G_l (index 4) in _point moves
+    # the constructed point and turns the defining identity red together
+    exact = construct(*args)
+    monkeypatch.setattr(constructions, "_point", _perturbed_point(l, index)(constructions._point))
+    assert not verify_defining_identity(l)
+    assert construct(*args) != exact
 
 
 def test_quotient_model_tables_symbolic():
@@ -301,6 +348,20 @@ def test_construction_input_rejects_a_level_row_or_parameter_off_the_table(l, ro
     with pytest.raises(ValueError) as exc:
         certify(ConstructionInput(l, row, params))
     assert named in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "l, row, params",
+    [
+        (4, None, {"u": 1, "v": 1}),
+        (5, 2, {"z": 1}),
+        (5, 3, {"t": 2, "m": 1}),
+        (6, None, {"v0": 1, "z": 16}),
+    ],
+)
+def test_as_printed_is_refused_outside_l5_row1(l, row, params):
+    with pytest.raises(ValueError, match=r"\(5, 1\) only"):
+        ConstructionInput(l, row, params, as_printed=True)
 
 
 def test_construction_input_keeps_the_table_order():
