@@ -1,9 +1,9 @@
 """Command line front end; every payload is exact-rational JSON.
 
 Exit codes: 0 for ok or degenerate results (degenerate parameters are data,
-not failures), 1 for usage errors, 2 for domain errors.  `--seed` makes every
-sampled computation reproducible; the ELLQUOT_SEED environment variable sets
-the default.
+not failures), 1 for usage errors, 2 for domain errors, 3 when verify-paper
+finds a criterion red.  `--seed` makes every sampled computation
+reproducible; the ELLQUOT_SEED environment variable sets the default.
 """
 
 from __future__ import annotations

@@ -186,6 +186,12 @@ def quotient_model(l, *params) -> QuotientModel:
 # The parametrized points
 
 
+def _check_as_printed(l, row, as_printed):
+    """ValueError for as_printed outside (l, row) = (5, 1), its one valid place."""
+    if as_printed and (l, row) != (5, 1):
+        raise ValueError(f"as_printed applies to (l, row) = (5, 1) only, not {(l, row)}")
+
+
 def construct_l5(row: int, *, z=None, t=None, m=None, as_printed: bool = False):
     """(c, x, y_b) for the three published l=5 parametrization rows.
 
@@ -199,7 +205,9 @@ def construct_l5(row: int, *, z=None, t=None, m=None, as_printed: bool = False):
     P = t^9 + 7t^7 + 13t^5 - 3t^3 - 18t + 44mt^6 + 132mt^4 + 84mt^2 - 4m
     - 16m^2t^3 + 16m^2t and den = t^6 + 8t^4 + 21t^2 + 16m^2 + 18 >= 18.
     A non-square there is a defect of this code and raises InvariantError.
+    as_printed on row 2 or 3 raises ValueError, as ConstructionInput does.
     """
+    _check_as_printed(5, row, as_printed)
     if row in (1, 2):
         if z is None:
             raise DegenerateParameterError(f"row {row} needs the parameter z")
@@ -315,8 +323,7 @@ class ConstructionInput:
         names = CONSTRUCTION_PARAMETERS.get(key)
         if names is None:
             raise ValueError(f"no (l, row) = {key} in {CONSTRUCTION_PARAMETERS}")
-        if self.as_printed and key != (5, 1):
-            raise ValueError(f"as_printed applies to (l, row) = (5, 1) only, not {key}")
+        _check_as_printed(self.l, self.row, self.as_printed)
         check_parameters(f"the (l, row) = {key} construction", names, params)
         self.params = {k: QQ(params[k]) for k in names}
 

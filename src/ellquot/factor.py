@@ -2,14 +2,24 @@
 
 This module holds the algorithms only; all coefficient arithmetic runs on the
 integer-list kernel in ``intpoly``.  Modulo p: squarefree decomposition,
-distinct-degree and equal-degree (Cantor-Zassenhaus) splitting, with factors
-returned as tuples of ints.  Each squarefree part f gets one Frobenius
-matrix, the rows x^(i*p) mod f built from a single x^p mod f (von zur Gathen
-& Shoup 1992, "Computing Frobenius maps and factoring polynomials"), so that
-h^p mod f is one matrix-vector product instead of a modular exponentiation.
-The distinct-degree step takes x^(p^d) from it, and so does the equal-degree
-step for odd p, through
-h^((p^d-1)/2) = (h * h^p * ... * h^(p^(d-1)))^((p-1)/2).
+distinct-degree and equal-degree (Rabin 1980, "Probabilistic algorithms in
+finite fields"; Cantor-Zassenhaus) splitting, with factors returned as tuples
+of ints.  Each squarefree part f takes one modular power, the Euler power
+s = x^(p//2) mod f, and uses it twice:
+
+- x^p = s^2 * x^(p mod 2) gives the Frobenius matrix, the rows x^(i*p) mod f
+  (von zur Gathen & Shoup 1992, "Computing Frobenius maps and factoring
+  polynomials"), so that h^p mod f is one matrix-vector product instead of a
+  modular exponentiation.  The distinct-degree step takes x^(p^d) from it.
+- For odd p, s * s^p * ... * s^(p^(d-1)) = x^((p^d-1)/2) mod a block of
+  degree-d irreducibles is Rabin's quadratic-character split of that block
+  with h = x, so every block's first split needs no further power.
+
+A block that this first split leaves whole, and every piece it makes, is
+split at random: for odd p through
+h^((p^d-1)/2) = (h * h^p * ... * h^(p^(d-1)))^((p-1)/2), for p = 2 by the
+trace map.  The factorization mod p is unique and returned sorted, so the
+random choices never show in the output.
 
 Over Q: Yun's squarefree decomposition of the primitive integer model,
 factorization modulo a good prime, Hensel lifting past the coefficient bound,
@@ -152,13 +162,26 @@ def _distinct_degree(f, p, rows):
     return out
 
 
-def _equal_degree(f, d, p, rng, rows):
-    """Split a monic squarefree product f of degree-d irreducibles.
+def _norm(h, d, f, p, rows):
+    """h * h^p * ... * h^(p^(d-1)) mod f over GF(p), for h reduced mod the part.
 
-    rows = frobenius_rows(part, p) for a squarefree part that f divides.  For
-    odd p, h^((p^d - 1)/2) mod f is the ((p - 1)/2)-th power of
-    h * h^p * ... * h^(p^(d-1)); the conjugates h^(p^i) stay reduced mod the
-    part for the Frobenius step, their running product is reduced mod f.
+    rows = frobenius_rows(..., part, p) for a squarefree part that f divides;
+    the conjugates h^(p^i) stay reduced mod the part for the Frobenius step,
+    their running product is reduced mod f.  At d = 1 that is h itself.
+    """
+    t = conj = h
+    for _ in range(d - 1):
+        conj = ip.frobenius(conj, rows, p)
+        t = ip.mulmod(t, conj, f, p)
+    return t
+
+
+def _equal_degree(f, d, p, rng, rows):
+    """Split a monic squarefree product f of degree-d irreducibles at random.
+
+    For odd p, h^((p^d - 1)/2) mod f is the ((p - 1)/2)-th power of
+    _norm(h, d, f, p, rows).  A root at which h vanishes lands with the
+    non-squares, so no separate gcd(h, f) is taken.
     """
     n = len(f) - 1
     if n == d:
@@ -175,28 +198,48 @@ def _equal_degree(f, d, p, rng, rows):
                 t = ip.add(t, acc, p)
             g = ip.gcd_mod(t, f, p)
         else:
-            g = ip.gcd_mod(h, f, p)
-            if not 1 < len(g) < len(f):
-                t = conj = h
-                for _ in range(d - 1):
-                    conj = ip.frobenius(conj, rows, p)
-                    t = ip.rem(ip.mul(t, conj), f, p)
-                t = ip.powmod(t, (p - 1) // 2, f, p)
-                g = ip.gcd_mod(ip.sub(t, [1], p), f, p)
+            t = ip.powmod(_norm(h, d, f, p, rows), (p - 1) // 2, f, p)
+            g = ip.gcd_mod(ip.sub(t, [1], p), f, p)
         if 1 < len(g) < len(f):
             rest = ip.divmod_mod(f, g, p)[0]
             return _equal_degree(g, d, p, rng, rows) + _equal_degree(rest, d, p, rng, rows)
 
 
+def _euler_split(block, d, s, p, rows):
+    """[block] or a proper split [g, rest] of a block of degree-d irreducibles.
+
+    For odd p and s = x^((p-1)/2) mod the part, _norm(s, ...) is
+    x^((p^d - 1)/2) mod block: on each root a of the block it reads the
+    quadratic character of a in GF(p^d), so g = gcd(it - 1, block) collects
+    the factors whose roots are squares.  No power is taken; the split fails
+    when every root has the same character (or all but a root 0 do).
+    """
+    g = ip.gcd_mod(ip.sub(_norm(s, d, block, p, rows), [1], p), block, p)
+    if 1 < len(g) < len(block):
+        return [g, ip.divmod_mod(block, g, p)[0]]
+    return [block]
+
+
 def _factor_mod(f, p):
-    """Complete factorization of monic f mod p: [(factor, multiplicity)], sorted."""
+    """Complete factorization of monic f mod p: [(factor, multiplicity)], sorted.
+
+    One power per squarefree part, s = x^(p//2), gives both x^p = s^2 *
+    x^(p mod 2) for the Frobenius matrix and, for odd p, the first split of
+    every block; the random split handles what is left.
+    """
     rng = random.Random(hash((p, tuple(f))))
     out = []
     for part, mult in _squarefree_mod_p(f, p):
-        rows = ip.frobenius_rows(part, p)
+        s = ip.powmod([0, 1], p // 2, part, p)
+        xp = ip.mulmod(s, s, part, p)
+        if p % 2:
+            xp = ip.mulmod(xp, [0, 1], part, p)
+        rows = ip.frobenius_rows(xp, part, p)
         for block, d in _distinct_degree(part, p, rows):
-            for irr in _equal_degree(block, d, p, rng, rows):
-                out.append((irr, mult))
+            pieces = _euler_split(block, d, s, p, rows) if p > 2 and len(block) - 1 > d else [block]
+            for piece in pieces:
+                for irr in _equal_degree(piece, d, p, rng, rows):
+                    out.append((irr, mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 

@@ -5,8 +5,11 @@ all use it.  A polynomial is a list of ints, lowest degree first.  Routines
 that take a modulus ``m`` return coefficients reduced into [0, m) with no
 trailing zeros; the others work over Z.  Division and inverses mod m need an
 invertible leading coefficient, which holds for every prime p not dividing
-it and for every power of such a p.  This module imports nothing from the
-package, so the polynomial, factoring and Galois layers can all use it.
+it and for every power of such a p.  The GF(p) products modulo a polynomial,
+``mulmod`` and through it ``powmod`` and ``frobenius_rows``, multiply and
+reduce in one pass with no inverse, so they need a monic modulus.  This
+module imports nothing from the package, so the polynomial, factoring and
+Galois layers can all use it.
 """
 
 from __future__ import annotations
@@ -119,29 +122,55 @@ def bezout_mod(g, h, p):
     return mul(s0, [inv], p), mul(t0, [inv], p)
 
 
+def mulmod(f, g, mod, p):
+    """f*g modulo the monic polynomial mod, over GF(p), in one pass.
+
+    The product is reduced top-down with no inverse, so mod must be monic;
+    f and g need not be reduced.
+    """
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    n = len(mod) - 1
+    low = mod[:-1]
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k] % p
+        if c:
+            for j, b in enumerate(low, k - n):
+                out[j] -= c * b
+    return trim(out[:n], p)
+
+
 def powmod(f, e, mod, p):
-    """f^e modulo the polynomial mod, over GF(p)."""
-    out = [1]
-    f = rem(f, mod, p)
-    while e:
-        if e & 1:
-            out = rem(mul(out, f), mod, p)
-        e >>= 1
-        if e:
-            f = rem(mul(f, f), mod, p)
+    """f^e modulo the monic polynomial mod, over GF(p).
+
+    Left to right: square, then multiply by the base f when the bit is set.
+    For f = x that multiplication is a shift and one reduction step.
+    """
+    if not e:
+        return [1]
+    f = out = rem(f, mod, p)
+    for bit in bin(e)[3:]:
+        out = mulmod(out, out, mod, p)
+        if bit == "1":
+            out = mulmod(out, f, mod, p)
     return out
 
 
-def frobenius_rows(f, p):
-    """rows[i] = x^(i*p) mod f over GF(p) for i < deg f, from one powmod.
+def frobenius_rows(xp, f, p):
+    """rows[i] = x^(i*p) mod f over GF(p) for i < deg f, from xp = x^p mod f.
 
     The rows are the matrix of the GF(p)-linear map h -> h^p on GF(p)[x]/(f):
     h^p = sum h_i x^(i*p), because the p-th power is additive and fixes GF(p).
+    f is monic.
     """
-    xp = powmod([0, 1], p, f, p)
     rows = [[1]]
     for _ in range(len(f) - 2):
-        rows.append(rem(mul(rows[-1], xp), f, p))
+        rows.append(mulmod(rows[-1], xp, f, p))
     return rows
 
 

@@ -42,6 +42,16 @@ def test_usage_error_exits_1(capsys):
     assert exc.value.code == 1
 
 
+def test_help_lists_every_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for code in ("0 for ok", "1 for usage errors", "2 for domain errors",
+                 "3 when verify-paper finds a criterion red"):
+        assert code in text
+
+
 def test_malformed_seed_variable_is_read_only_by_the_commands_that_take_a_seed(
     capsys, monkeypatch
 ):

@@ -364,6 +364,18 @@ def test_as_printed_is_refused_outside_l5_row1(l, row, params):
         ConstructionInput(l, row, params, as_printed=True)
 
 
+@pytest.mark.parametrize("row, params", [(2, {"z": 1}), (3, {"t": 2, "m": 1})])
+def test_construct_l5_refuses_as_printed_off_row1(row, params):
+    # the direct call raises the same error as ConstructionInput, instead of
+    # returning the corrected triple
+    with pytest.raises(ValueError) as direct:
+        construct_l5(row, as_printed=True, **params)
+    with pytest.raises(ValueError) as checked:
+        ConstructionInput(5, row, params, as_printed=True)
+    assert str(direct.value) == str(checked.value)
+    assert construct_l5(1, z=1, as_printed=True) != construct_l5(1, z=1)
+
+
 def test_construction_input_keeps_the_table_order():
     inp = ConstructionInput(3, params={"z": 5, "u1": 1, "a1": 0})
     assert list(inp.params) == list(constructions.CONSTRUCTION_PARAMETERS[3, None])

@@ -14,7 +14,7 @@ from ellquot import (
     rational_roots,
 )
 from ellquot import intpoly as ip
-from ellquot.factor import PRIMALITY_BOUND, is_probable_prime
+from ellquot.factor import PRIMALITY_BOUND, _euler_split, is_probable_prime
 
 from oracles import naive_rational_roots
 
@@ -89,6 +89,43 @@ def test_factor_mod_p_rejects_p_dividing_the_leading_coefficient():
         factor_mod_p(2 * x ** 2 + x + 1, 2)
     with pytest.raises(ValueError, match="divides the leading coefficient"):
         factor_mod_p(Fraction(5, 3) * x + 1, 5)
+
+
+def _first_split(f, d, p):
+    """The Euler split of a monic squarefree f mod p that is one block of
+    degree-d irreducibles: one piece when it fails, two when it splits."""
+    s = ip.powmod([0, 1], p // 2, f, p)
+    rows = ip.frobenius_rows(ip.powmod([0, 1], p, f, p), f, p)
+    return _euler_split(f, d, s, p, rows)
+
+
+def test_first_split_puts_the_root_0_with_the_non_squares():
+    # x(x - 1)(x - 4) mod 5: 1 and 4 are squares, so x is split off
+    f = x * (x - 1) * (x - 4)
+    assert _first_split([0, 4, 0, 1], 1, 5) == [[4, 0, 1], [0, 1]]
+    assert factor_mod_p(f, 5) == [((0, 1), 1), ((1, 1), 1), ((4, 1), 1)]
+
+
+def test_a_failed_first_split_falls_back_to_the_random_split():
+    # (x - 1)(x - 4) mod 5: both roots are squares, so the first split fails
+    assert _first_split([4, 0, 1], 1, 5) == [[4, 0, 1]]
+    assert factor_mod_p((x - 1) * (x - 4), 5) == [((1, 1), 1), ((4, 1), 1)]
+
+
+def test_first_split_of_a_block_of_two_quadratics():
+    # mod 3 the roots of x^2 + 1 are squares in GF(9), those of the primitive
+    # x^2 + x + 2 are not
+    f = (x ** 2 + 1) * (x ** 2 + x + 2)
+    assert _first_split([2, 1, 0, 1, 1], 2, 3) == [[1, 0, 1], [2, 1, 1]]
+    assert factor_mod_p(f, 3) == [((1, 0, 1), 1), ((2, 1, 1), 1)]
+
+
+def test_factor_mod_2_splits_blocks_by_the_trace():
+    # x^8 - x is the product of the irreducibles of degree 1 and 3 mod 2
+    f = (x ** 8 - x) * (x ** 2 + x + 1)
+    assert factor_mod_p(f, 2) == [
+        ((0, 1), 1), ((1, 1), 1), ((1, 1, 1), 1), ((1, 0, 1, 1), 1), ((1, 1, 0, 1), 1)
+    ]
 
 
 PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441

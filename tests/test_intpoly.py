@@ -1,4 +1,5 @@
-"""Kernel properties of intpoly: remainder-only reduction and the Frobenius rows."""
+"""Kernel properties of intpoly: remainder-only reduction, the fused product
+modulo a monic polynomial, powers and the Frobenius rows."""
 
 import math
 
@@ -44,7 +45,39 @@ def modulus_and_residue(draw):
 @given(modulus_and_residue())
 def test_frobenius_rows_give_the_p_th_power(case):
     f, h, p = case
-    assert ip.frobenius(h, ip.frobenius_rows(f, p), p) == ip.powmod(h, p, f, p)
+    rows = ip.frobenius_rows(ip.powmod([0, 1], p, f, p), f, p)
+    assert ip.frobenius(h, rows, p) == ip.powmod(h, p, f, p)
+
+
+@st.composite
+def product_modulus(draw):
+    """(f, g, mod, p): unreduced f and g, mod monic of degree 1..8 over GF(p)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 367]))
+    n = draw(st.integers(1, 8))
+    mod = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    f = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=2 * n))
+    g = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=2 * n))
+    return f, g, mod, p
+
+
+@SETTINGS
+@given(product_modulus())
+def test_mulmod_is_the_remainder_of_the_product(case):
+    f, g, mod, p = case
+    assert ip.mulmod(f, g, mod, p) == ip.rem(ip.mul(f, g), mod, p)
+
+
+@SETTINGS
+@given(modulus_and_residue(), st.sampled_from(["0", "1", "p//2", "p"]), st.booleans())
+def test_powmod_is_repeated_multiplication(case, exponent, base_x):
+    f, h, p = case
+    if base_x:
+        h = [0, 1]
+    e = {"0": 0, "1": 1, "p//2": p // 2, "p": p}[exponent]
+    expected = [1]
+    for _ in range(e):
+        expected = ip.rem(ip.mul(expected, h), f, p)
+    assert ip.powmod(h, e, f, p) == expected
 
 
 def test_divexact_zz_leaves_its_arguments_alone():
