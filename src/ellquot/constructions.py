@@ -449,7 +449,8 @@ def _cyclic_fiber(model: QuotientModel, point: CurvePoint) -> FiberPolynomial:
     and splits its own fiber; the cyclic field is carried by the fiber below
     point + T, where T is the rational 2-torsion point of the model; point + T
     is affine, because certify has already excluded the 2-torsion points
-    (y_b = 0).
+    (y_b = 0).  Both points come from from_b_point, which checks them, so
+    their sum takes the unchecked add.
     """
     F = model.curve
     if model.l in (3, 5):
@@ -457,7 +458,7 @@ def _cyclic_fiber(model: QuotientModel, point: CurvePoint) -> FiberPolynomial:
     else:
         xT = _rational_two_torsion_x(model)
         T = F.from_b_point(xT, F.field.zero)
-        base = F.add(point, T).x
+        base = F._add(point, T).x
     x_velu = model.from_model_x(base)
     # base_point_x is in the model chart for the twisted l = 4, else the Velu one
     return FiberPolynomial(

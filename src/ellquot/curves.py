@@ -4,6 +4,15 @@ Curves are y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with exact field
 coefficients; points are affine pairs plus a distinguished infinity.  The
 one-parameter Kubert families are Tate normal forms E(b, c) on which (0, 0)
 has exact order l, checked at construction time by the group law itself.
+
+A point is checked against the curve equation once, where it enters the
+group law: add (both points), neg, scalar_mul, order_of_point (and through it
+is_infinite_order and kubert_curve's order walk), b_point and from_b_point
+raise OffCurveError for a point off the curve.  The loops of scalar_mul and
+order_of_point, the Velu kernel walk, push_point's kernel sums and the
+cyclic-fiber translate of the constructions add through the unchecked _add
+(and scalar_mul negates through _neg): the sum of two points on the curve is
+on the curve, so a point built from checked points needs no check of its own.
 """
 
 from __future__ import annotations
@@ -106,15 +115,26 @@ class WeierstrassCurve:
             raise OffCurveError(f"{P!r} is not on the curve")
 
     def neg(self, P: CurvePoint) -> CurvePoint:
+        self._require(P)
+        return self._neg(P)
+
+    def _neg(self, P: CurvePoint) -> CurvePoint:
         if P.inf:
             return P
-        self._require(P)
         return CurvePoint.affine(P.x, -P.y - self.a1 * P.x - self.a3)
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         """Chord-tangent addition with infinity as the identity."""
         self._require(P)
         self._require(Q)
+        return self._add(P, Q)
+
+    def _add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+        """add without the checks, for points already on the curve.
+
+        The sum of two points on the curve is on the curve, so a walk that
+        starts from checked points stays on it.
+        """
         if P.inf:
             return Q
         if Q.inf:
@@ -137,15 +157,15 @@ class WeierstrassCurve:
         """k*P by double-and-add."""
         self._require(P)
         if k < 0:
-            return self.scalar_mul(-k, self.neg(P))
+            k, P = -k, self._neg(P)
         out = INFINITY
         base = P
         while k:
             if k & 1:
-                out = self.add(out, base)
+                out = self._add(out, base)
             k >>= 1
             if k:
-                base = self.add(base, base)
+                base = self._add(base, base)
         return out
 
     def order_of_point(self, P: CurvePoint, bound: int):
@@ -157,14 +177,15 @@ class WeierstrassCurve:
         for k in range(1, bound + 1):
             if acc.inf:
                 return k
-            acc = self.add(acc, P)
+            acc = self._add(acc, P)
         return None
 
     def is_infinite_order(self, P: CurvePoint) -> bool:
         """Proof-grade infinite-order test for rational points over Q.
 
         Rational torsion orders divide an element order of at most 12, so a
-        point with 12 nonvanishing multiples cannot be torsion.
+        point with 12 nonvanishing multiples cannot be torsion.  P is checked
+        once, on entry; its multiples are not checked again.
         """
         if self.field != QQ:
             raise ValueError("is_infinite_order is specific to curves over Q")

@@ -65,6 +65,8 @@ def primes():
 def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, a proof for every n < PRIMALITY_BOUND.
 
+    Below 43^2 trial division by the bases alone decides, with no power taken.
+
     Raises ValueError for n >= PRIMALITY_BOUND, where the bases prove nothing.
     """
     if n >= PRIMALITY_BOUND:
@@ -74,6 +76,10 @@ def is_probable_prime(n: int) -> bool:
     for a in MILLER_RABIN_BASES:
         if n % a == 0:
             return n == a
+    if n < 43 * 43:
+        # a composite has a prime factor at most its square root, so one
+        # below 43^2 has a factor among the bases, which trial division found
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -72,8 +72,9 @@ class FiberPolynomial:
 def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData:
     """Quotient isogeny of degree l with kernel generated by A.
 
-    A must have exact order l on the curve: the walk over its multiples that
-    collects the kernel is also the order check.  The x-map is reduced without a
+    A must have exact order l on the curve: it is checked on the curve once,
+    and the walk over its multiples that collects the kernel, which adds
+    without checks, is also the order check.  The x-map is reduced without a
     gcd: den is a product of monic factors (x - x_Q), and num(x_Q) is u_Q
     (t_Q at the 2-torsion point) times a product of nonzero differences
     x_Q - x_R, where u_Q = g_y(Q)^2 and the 2-torsion t_Q = g_x(Q) are nonzero
@@ -82,11 +83,12 @@ def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData
     """
     if A.inf:
         raise TorsionOrderError("the kernel generator cannot be infinity")
+    curve._require(A)
     kernel = []
     acc = A
     while not acc.inf and len(kernel) < l:
         kernel.append(acc)
-        acc = curve.add(acc, A)
+        acc = curve._add(acc, A)
     if len(kernel) != l - 1:
         order = len(kernel) + 1 if acc.inf else f"above {l}"
         raise TorsionOrderError(f"kernel generator has order {order}, expected {l}")
@@ -143,8 +145,9 @@ def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData
 def push_point(isog: IsogenyData, P: CurvePoint) -> CurvePoint:
     """phi(P), via the coordinate sums x + sum(x(P+Q) - x(Q)) over the kernel.
 
-    Kernel points and infinity map to infinity; images are verified to sit on
-    the codomain.
+    Kernel points and infinity map to infinity.  P is checked on the domain
+    once; the kernel sums use the unchecked add, as P and the kernel points are
+    on it.  Images are verified to sit on the codomain.
     """
     E = isog.domain
     if P.inf:
@@ -156,7 +159,7 @@ def push_point(isog: IsogenyData, P: CurvePoint) -> CurvePoint:
     xs = P.x
     ys = P.y
     for Q in isog.kernel_points:
-        S = E.add(P, Q)
+        S = E._add(P, Q)
         xs = xs + S.x - Q.x
         ys = ys + S.y - Q.y
     image = CurvePoint.affine(xs, ys)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ellquot import (
+    ConstructionInput,
     CurvePoint,
     FunctionField,
     INFINITY,
@@ -12,7 +13,9 @@ from ellquot import (
     SingularCurveError,
     TorsionOrderError,
     WeierstrassCurve,
+    certify,
     kubert_curve,
+    lift_x,
     tate_curve,
 )
 from ellquot.errors import DegenerateParameterError, OffCurveError
@@ -208,3 +211,99 @@ def test_translated_is_isomorphic():
     P = curve.add(A, A)
     shifted = CurvePoint.affine(P.x - 7, P.y)
     assert moved.contains(shifted)
+
+
+OFF_CURVE_ENTRY_POINTS = {
+    "add, first point": lambda E, bad: E.add(bad, INFINITY),
+    "add, second point": lambda E, bad: E.add(INFINITY, bad),
+    "neg": lambda E, bad: E.neg(bad),
+    "scalar_mul, k > 0": lambda E, bad: E.scalar_mul(3, bad),
+    "scalar_mul, k < 0": lambda E, bad: E.scalar_mul(-3, bad),
+    "order_of_point": lambda E, bad: E.order_of_point(bad, 12),
+    "is_infinite_order": lambda E, bad: E.is_infinite_order(bad),
+    "b_point": lambda E, bad: E.b_point(bad),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OFF_CURVE_ENTRY_POINTS))
+def test_every_group_law_entry_point_rejects_an_off_curve_point(entry):
+    curve, _ = kubert_curve(5, Fraction(1))
+    bad = CurvePoint.affine(Fraction(1), Fraction(5))
+    with pytest.raises(OffCurveError):
+        OFF_CURVE_ENTRY_POINTS[entry](curve, bad)
+
+
+@pytest.fixture
+def contains_calls(monkeypatch):
+    """One entry per WeierstrassCurve.contains call made while the test runs."""
+    calls = []
+    contains = WeierstrassCurve.contains
+
+    def counting_contains(self, P):
+        calls.append(P)
+        return contains(self, P)
+
+    monkeypatch.setattr(WeierstrassCurve, "contains", counting_contains)
+    return calls
+
+
+def test_the_walks_check_their_point_once(contains_calls):
+    curve, _ = kubert_curve(3, 0, 6)
+    P = CurvePoint.affine(Fraction(3), Fraction(3))  # infinite order
+    for k in (0, 1, 12, -12, 25):
+        contains_calls.clear()
+        curve.scalar_mul(k, P)
+        assert contains_calls == [P], k
+    contains_calls.clear()
+    assert curve.is_infinite_order(P)
+    assert contains_calls == [P]
+
+
+def _k_fold_public_add(curve, k, P):
+    step = P if k >= 0 else curve.neg(P)
+    out = INFINITY
+    for _ in range(abs(k)):
+        out = curve.add(out, step)
+    return out
+
+
+def _kubert_points(curve, A, l):
+    """The multiples of A, the rational points with small x, and their sums with A."""
+    lifts = [P for n in range(-12, 13) for d in (1, 2, 3) for P in lift_x(curve, Fraction(n, d))]
+    return [curve.scalar_mul(i, A) for i in range(l)] + lifts + [curve.add(P, A) for P in lifts]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    l=st.sampled_from([4, 5, 6, 7, 8, 9, 10, 12]),
+    c=small,
+    index=st.integers(0, 10 ** 6),
+    k=st.integers(-12, 12),
+)
+def test_scalar_mul_is_the_repeated_public_add_on_kubert_points(l, c, index, k):
+    try:
+        curve, A = kubert_curve(l, c)
+    except (SingularCurveError, DegenerateParameterError):
+        assume(False)
+    points = _kubert_points(curve, A, l)
+    P = points[index % len(points)]
+    assert curve.scalar_mul(k, P) == _k_fold_public_add(curve, k, P)
+    assert not curve.is_infinite_order(curve.scalar_mul(k, A))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    l=st.sampled_from([5, 6]),
+    row=st.sampled_from([1, 2]),
+    v0=st.integers(1, 5),
+    z=st.integers(1, 29),
+    k=st.integers(-12, 12),
+)
+def test_scalar_mul_is_the_repeated_public_add_on_certificate_points(l, row, v0, z, k):
+    if l == 5:
+        cert = certify(ConstructionInput(5, row=row, params={"z": Fraction(z)}))
+    else:
+        cert = certify(ConstructionInput(6, params={"v0": Fraction(v0), "z": Fraction(z)}))
+    assume(cert.on_curve)
+    curve, P = cert.curve_F, cert.point
+    assert curve.scalar_mul(k, P) == _k_fold_public_add(curve, k, P)

@@ -163,6 +163,16 @@ def test_primality_agrees_with_trial_division():
     assert [n for n in range(3000) if is_probable_prime(n)] == small
 
 
+def test_primality_agrees_with_a_sieve_around_the_trial_division_cut():
+    """Below 43^2 trial division decides; the sieve covers both sides of the cut."""
+    limit = 10 ** 4
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, limit, d))
+    assert [is_probable_prime(n) for n in range(limit)] == sieve
+
+
 def test_factor_over_Q_examples():
     fl = factor_over_Q(x ** 4 - 1)
     assert fl.degrees() == (1, 1, 2)

@@ -16,6 +16,7 @@ from ellquot import (
     EllquotError,
     FunctionField,
     INFINITY,
+    OffCurveError,
     QQ,
     TorsionOrderError,
     UniPoly,
@@ -42,15 +43,19 @@ def small_rational_points(curve, bound=20):
 
 @pytest.fixture
 def adds(monkeypatch):
-    """One entry per WeierstrassCurve.add call made while the test runs."""
+    """One entry per curve addition made while the test runs.
+
+    Every addition, the checked add and the inner walks alike, goes through
+    WeierstrassCurve._add, so that is what is counted.
+    """
     calls = []
-    add = WeierstrassCurve.add
+    add = WeierstrassCurve._add
 
     def counting_add(self, P, Q):
         calls.append(1)
         return add(self, P, Q)
 
-    monkeypatch.setattr(WeierstrassCurve, "add", counting_add)
+    monkeypatch.setattr(WeierstrassCurve, "_add", counting_add)
     return calls
 
 
@@ -80,6 +85,19 @@ def test_velu_walks_the_kernel_once(adds):
         isog = velu_quotient(curve, A, l)
         assert len(adds) == l - 1, l
         assert len(isog.kernel_points) == l - 1
+
+
+def test_the_isogeny_entry_points_reject_off_curve_points():
+    curve, A = kubert_curve(5, Fraction(1))
+    isog = velu_quotient(curve, A, 5)
+    bad = CurvePoint.affine(Fraction(1), Fraction(5))
+    assert not curve.contains(bad) and not isog.codomain.contains(bad)
+    with pytest.raises(OffCurveError):
+        velu_quotient(curve, bad, 5)
+    with pytest.raises(OffCurveError):
+        push_point(isog, bad)
+    with pytest.raises(OffCurveError):
+        has_rational_preimage(isog, bad)
 
 
 def test_codomain_preserves_a1_a2_a3():

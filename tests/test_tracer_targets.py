@@ -6,21 +6,11 @@ test fails instead.  bench/tracer.py is read and executed from its source,
 so nothing is written under bench/.
 """
 
-import types
-from pathlib import Path
-
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-
-
-def _load_tracer():
-    module = types.ModuleType("bench_tracer")
-    module.__file__ = str(TRACER_PATH)
-    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
-    return module
+from bench_source import load
 
 
 def test_every_tracer_target_resolves():
-    tracer = _load_tracer()
+    tracer = load("tracer")
     targets = [*tracer.SPANNED, *(target for target, _ in tracer.CRITERIA), *tracer.COUNTED]
     missing = []
     for target in targets:
@@ -53,7 +43,7 @@ def test_tracer_installs_and_uninstalls_as_the_benchmark_does():
         (ellquot, "certify"),
     ]
     originals = [getattr(module, name) for module, name in pinned]
-    t = _load_tracer().Tracer()
+    t = load("tracer").Tracer()
     try:
         t.install()
         assert not t.missing
