@@ -55,7 +55,7 @@ from .isogeny import (
     push_point,
     velu_quotient,
 )
-from .multipoly import MultiPoly, MultiPolyRing
+from .multipoly import MultiPoly
 from .poly import UniPoly, discriminant, prem, resultant
 from .verify import draw_input, run_battery
 
@@ -68,7 +68,6 @@ __all__ = [
     "FunctionField",
     "RatFunc",
     "MultiPoly",
-    "MultiPolyRing",
     "UniPoly",
     "resultant",
     "discriminant",

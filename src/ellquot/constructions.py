@@ -253,22 +253,21 @@ def construct_l4(u, v):
 
 
 def construct_l6(v0, z):
-    """(c, x, y_b): x from _point(6, c, v0), y_b the nonnegative root of f_{c,6}(x)."""
+    """(c, x, y_b): x and y_b >= 0 come from _point(6, c, v0) at the root P/den of A_6.
+
+    With den = (z+3+9v0^2)(z-3-9v0^2) and c as below, A_6(c, v0) = (P/den)^2
+    identically in v0 and z, where P = 81v0^6 - 18v0^4 z - 27v0^4 + v0^2 z^2
+    - 36v0^2 z - 45v0^2 - z^2 - 10z - 9, so no square root is taken.
+    """
     v0, z = QQ(v0), QQ(z)
-    den = (z + 3 + 9 * v0 * v0) * (z - 3 - 9 * v0 * v0)
+    w = v0 * v0
+    den = (z + 3 + 9 * w) * (z - 3 - 9 * w)
     if den == 0:
         raise DegenerateParameterError("(z+3+9v0^2)(z-3-9v0^2) must be nonzero")
-    c = 2 * (9 * v0 ** 4 + 18 * v0 * v0 - v0 * v0 * z + z + 5) / den
-    _, X, s, _, _ = _point(6, c, v0)
-    x = X / (s * s)
-    fx = _cubic_at(quotient_cubic(6, c), x)
-    yb = rational_sqrt(fx)
-    if yb is None:
-        raise InvariantError(f"f(x_{{c,6}}) = {fx} is not a rational square at c = {c}")
-    # cross-check of the second factor for the v0 = +-1 family
-    if v0 * v0 == 1 and z * z != 144 and c * (9 * c + 4) != (16 * z / (z * z - 144)) ** 2:
-        raise InvariantError(f"c(9c+4) is not (16z/(z^2-144))^2 at c = {c}, z = {z}")
-    return c, x, yb
+    c = 2 * (9 * w * w + 18 * w - w * z + z + 5) / den
+    P = 81 * w ** 3 - 18 * w * w * z - 27 * w * w + w * z * z - 36 * w * z - 45 * w - z * z - 10 * z - 9
+    x, yb = _model_point(6, P / den, c, v0)
+    return c, x, abs(yb)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +418,24 @@ def certify(inp: ConstructionInput) -> NontrivialPointCertificate:
 
 
 def model_matches_table(model: QuotientModel) -> bool:
-    """Whether model.curve has the (b2, 2b4, b6) of quotient_cubic at model.parameter."""
-    b = model.curve.b_form()
-    want = quotient_cubic(model.l, *model.parameter)
-    return (b.b2, 2 * b.b4, b.b6) == tuple(model.curve.field(w) for w in want)
+    """Whether the table cubic f of quotient_cubic at model.parameter is the model's.
+
+    f must be the b-form cubic of model.curve, and the chart x_model = s x + r
+    (scale, shift) must carry the Velu codomain's b-form cubic g onto it:
+    f(s x + r) = s^3 g(x), i.e. 12r + b2 = s g2, (12r + 2b2) r + 2b4 = s^2 2g4
+    and f(r) = s^3 g6.  At l = 4, s^3 = -1/64 is the twist by -1.
+    """
+    field = model.curve.field
+    f = tuple(field(w) for w in quotient_cubic(model.l, *model.parameter))
+    b2, b4x2, _ = f
+    b, g = model.curve.b_form(), model.isogeny.codomain.b_form()
+    s, r = model.scale, model.shift
+    return (
+        (b.b2, 2 * b.b4, b.b6) == f
+        and 12 * r + b2 == s * g.b2
+        and (12 * r + 2 * b2) * r + b4x2 == s * s * 2 * g.b4
+        and _cubic_at(f, r) == s ** 3 * g.b6
+    )
 
 
 def _no_rational_preimage(model: QuotientModel, x, yb):

@@ -7,7 +7,9 @@ once, in a function that works over any commutative ring: the public
 constructors evaluate it at rationals through the FAMILIES table, and the
 identity checks evaluate the same function at MultiPoly generators, so each
 identity is verified formally in the free parameters.  The substitution
-checks compare coefficient by coefficient; the Gras check takes a resultant.
+checks compare coefficient by coefficient; the Gras check multiplies out
+the resultant as a product over the roots of ptilde4.  Every identity is
+an equality of MultiPoly sums and products; none divides.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 from .errors import InvariantError, check_parameters
 from .fields import QQ
-from .funcfield import FunctionField, RatFunc
-from .multipoly import MultiPoly, MultiPolyRing
-from .poly import UniPoly, discriminant, resultant
+from .funcfield import FunctionField
+from .multipoly import MultiPoly
+from .poly import UniPoly, discriminant
 
 
 @dataclass
@@ -166,35 +168,36 @@ def check_shanks_reproduction() -> bool:
 
 
 def gras_resultant_identity() -> bool:
-    """Resultant(ptilde4(x), X - h(x), x) is the Gras quartic G(X), formally in t.
+    """Res_x(ptilde4(x), X - h(x)) is the Gras quartic G(X), formally in t.
 
-    Here h = t/2 x^2 - (t^2+32)/(8t) and (n, c) = ((t^2+32)/(2t^2),
-    (3t^4-1024)/(16t^4)).  The denominators are cleared before the
-    subresultant algorithm runs over Q[t, X]: with D = 16t^4 and E = 8t,
-    Res_x(D ptilde4, E (X - h)) = D^2 E^4 G = 2^20 t^12 G.
+    Here h = h2 x^2 + h0 with h2 = t/2, h0 = -(t^2+32)/(8t), and (n, c) =
+    ((t^2+32)/(2t^2), (3t^4-1024)/(16t^4)).  ptilde4 is monic, so the
+    resultant is the product of X - h(theta) over its roots.  Write
+    ptilde4(x) = e(x^2) + x o(x^2); the squares theta^2 are the roots of
+    r(y) = e(y)^2 - y o(y)^2 = ptilde4(x) ptilde4(-x), so the product is
+    sum_k r_k (X - h0)^k h2^(4-k).  Clear denominators with D = 16t^4 and
+    E = 8t: for S = E(X - h0) = 8tX + t^2 + 32 and T = E h2 = 4t^2, D^2 E^4
+    times that sum is (D T^2 e(S/T))^2 - S T (D T o(S/T))^2, each bracket by
+    Horner in S, and it must equal D^2 E^4 G(X) = 2^20 t^12 G(X) in Q[t, X].
     """
     t = FunctionField("t").gen
-    names = ("t", "X")
+    tt, X = MultiPoly.gens(("t", "X"))
 
     def lift(q):
-        """q, a rational or a polynomial in t, as an element of Q[t, X]."""
-        if not isinstance(q, RatFunc):
-            return MultiPoly.constant(names, q)
+        """q, a polynomial in t, as an element of Q[t, X]."""
         if not q.is_polynomial:
             raise InvariantError(f"{q} is not a polynomial in t")
-        return MultiPoly(names, {(i, 0): a for i, a in enumerate(q.num.coeffs)})
+        return MultiPoly(tt.vars, {(i, 0): a for i, a in enumerate(q.num.coeffs)})
 
-    X = MultiPoly.variable("X", names)
-    t2 = t * t
-    n = (t2 + 32) / (2 * t2)
-    c = (3 * t2 * t2 - 1024) / (16 * t2 * t2)
-    h0, h2 = -(t2 + 32) / (8 * t), t / 2
-    D, E = 16 * t2 * t2, 8 * t
-    ring = MultiPolyRing(names)
-    ptilde = UniPoly(ring, [lift(D * a) for a in _ptilde4_coeffs(n, c)])
-    second = UniPoly(ring, [lift(E) * X - lift(E * h0), ring.zero, -lift(E * h2)])
-    gras = sum((lift(g) * X ** k for k, g in enumerate(_gras_coeffs(t))), ring.zero)
-    return resultant(ptilde, second) == lift(D) ** 2 * lift(E) ** 4 * gras
+    D = 16 * t ** 4
+    n = (t * t + 32) / (2 * t * t)
+    c = (3 * t ** 4 - 1024) / D
+    p = [lift(D * a) for a in _ptilde4_coeffs(n, c)]
+    S, T = 8 * tt * X + tt * tt + 32, 4 * tt * tt
+    even = (p[4] * S + p[2] * T) * S + p[0] * T * T
+    odd = p[3] * S + p[1] * T
+    gras = sum(g * X ** k for k, g in enumerate(_gras_coeffs(tt)))
+    return even * even - S * T * odd * odd == 2 ** 20 * tt ** 12 * gras
 
 
 def shanks_disc_identity() -> bool:

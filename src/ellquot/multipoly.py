@@ -1,15 +1,15 @@
 """Sparse multivariate polynomials over Q; == is the exact identity check.
 
-Terms map exponent vectors to nonzero rational coefficients.  The canonical
-term order is graded lexicographic over the declared variable order; it fixes
-leading terms for exact division and serialization.
+Terms map exponent vectors to nonzero rational coefficients.  The class is a
+ring, not a field: it adds, subtracts, multiplies, raises to powers and
+evaluates, but never divides, so every formal identity is stated free of
+denominators.  The printed term order is graded lexicographic over the
+declared variable order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import ZeroPolynomialError
 
 
 class MultiPoly:
@@ -123,34 +123,6 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
-    def _grlex_key(self, expo):
-        return (sum(expo), expo)
-
-    def leading(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-        e = max(self.terms, key=self._grlex_key)
-        return e, self.terms[e]
-
-    def divexact(self, other: "MultiPoly") -> "MultiPoly":
-        """Exact division; raises ValueError when other does not divide self."""
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        quo = {}
-        rem = self
-        de, dc = other.leading()
-        while not rem.is_zero:
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(e < 0 for e in qe):
-                raise ValueError("division is not exact")
-            qc = rc / dc
-            quo[qe] = qc
-            rem = rem - MultiPoly(self.vars, {qe: qc}) * other
-        return MultiPoly(self.vars, quo)
-
     def evaluate(self, assignment: dict) -> Fraction:
         """Evaluate at rational values for every variable."""
         vals = [Fraction(assignment[v]) for v in self.vars]
@@ -167,7 +139,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=self._grlex_key, reverse=True):
+        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             c = self.terms[e]
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
@@ -176,32 +148,4 @@ class MultiPoly:
             )
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
-
-
-class MultiPolyRing:
-    """Q[vars] packaged as a coefficient domain for UniPoly resultants."""
-
-    def __init__(self, vars):
-        self.vars = tuple(vars)
-        self.zero = MultiPoly(self.vars)
-        self.one = MultiPoly.constant(self.vars, 1)
-        self.name = "Q[" + ",".join(self.vars) + "]"
-
-    def __call__(self, value):
-        out = self.zero._coerce(value)
-        if out is None:
-            raise TypeError(f"cannot coerce {value!r} into {self.name}")
-        return out
-
-    def divexact(self, a, b):
-        return self(a).divexact(self(b))
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, MultiPolyRing) and other.vars == self.vars
-
-    def __hash__(self):
-        return hash(("MultiPolyRing", self.vars))
 

@@ -4,11 +4,11 @@ A polynomial's ring is its coefficient field plus its variable: arithmetic
 and division between polynomials in different variables raise ValueError,
 and == and hash compare the variable too.  Composition is evaluation,
 f(g) = f(g(x)).  Coefficients are stored lowest degree first with no
-trailing zeros.  The same class serves Q, rational function fields Q(c), and
-(for resultants only) multivariate polynomial rings that provide
-``divexact``.  Integer and modular work is not done here: the gcd over Q
-hands the primitive integer models of its operands to the int-list kernel in
-``intpoly``, which is also what the factoring and Galois layers use.
+trailing zeros.  The same class serves the fields Q and Q(c), and no
+coefficient ring here is anything but a field.  Integer and modular work is
+not done here: the gcd over Q hands the primitive integer models of its
+operands to the int-list kernel in ``intpoly``, which is also what the
+factoring and Galois layers use.
 """
 
 from __future__ import annotations
@@ -273,8 +273,8 @@ def prem(f: UniPoly, g: UniPoly) -> UniPoly:
 def resultant(f: UniPoly, g: UniPoly):
     """Resultant of f and g, with the convention resultant(f, x - c) = f(c).
 
-    Computed by the subresultant remainder sequence, so it works over any
-    integral domain whose field object supplies ``divexact``.  The convention
+    Computed by the subresultant remainder sequence over Q or Q(c), whose
+    field objects supply the exact division ``divexact``.  The convention
     equals the Sylvester determinant with the rows of g listed first, i.e.
     (-1)^(deg f * deg g) times the f-first determinant.
     """

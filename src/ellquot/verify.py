@@ -71,7 +71,8 @@ def ac2():
 def ac3():
     return (
         _quotient_matches_table(4),
-        "l=4 quotient model matches (x+c)(4x^2+x+c) (twist convention documented)",
+        "quotient of E(c-1/16,0) goes onto (x+c)(4x^2+x+c) by x_model = -(x+c+7/16)/4,"
+        " the twist by -1",
     )
 
 
@@ -266,7 +267,7 @@ def ac8():
 
 def ac9():
     ok = gras_resultant_identity()
-    return ok, f"Gras resultant identity formal in t: {ok}"
+    return ok, f"Gras resultant identity formal in t, as a product over the roots: {ok}"
 
 
 def ac10():

@@ -25,7 +25,7 @@ from ellquot import (
     quotient_model,
     verify_defining_identity,
 )
-from ellquot.constructions import a5, quotient_cubic
+from ellquot.constructions import a5, model_matches_table, quotient_cubic
 
 
 class TestConstructL5:
@@ -150,7 +150,7 @@ class TestConstructL6:
 
     def test_y_b_comes_from_the_published_cubic(self, monkeypatch):
         # f_{c,6} is written once, in quotient_cubic: a perturbed b6 there
-        # leaves f(x_{c,6}) a non-square at the fixture
+        # breaks the defining identity and stops certify at the fixture
         exact = constructions.quotient_cubic
 
         def perturbed(l, *params):
@@ -158,8 +158,27 @@ class TestConstructL6:
             return (b2, b4x2, b6 + 1) if l == 6 else (b2, b4x2, b6)
 
         monkeypatch.setattr(constructions, "quotient_cubic", perturbed)
-        with pytest.raises(InvariantError):
-            construct_l6(1, 16)
+        assert not verify_defining_identity(6)
+        with pytest.raises(InvariantError, match="model drifted from table"):
+            certify(ConstructionInput(6, params={"v0": 1, "z": 16}))
+
+    def test_indicator_is_a_square_identically(self):
+        # sympy serves only as an oracle: A_6(c, v0) = (P/den)^2 for the
+        # published c(v0, z), so construct_l6 takes no square root
+        import sympy
+
+        v, z = sympy.symbols("v z")
+        den = (z + 3 + 9 * v ** 2) * (z - 3 - 9 * v ** 2)
+        c = 2 * (9 * v ** 4 + 18 * v ** 2 - v ** 2 * z + z + 5) / den
+        P = (
+            81 * v ** 6 - 18 * v ** 4 * z - 27 * v ** 4 + v ** 2 * z ** 2
+            - 36 * v ** 2 * z - 45 * v ** 2 - z ** 2 - 10 * z - 9
+        )
+        _, _, _, A, _ = constructions._point(6, c, v)
+        assert sympy.cancel(A - (P / den) ** 2) == 0
+        # the second factor of the v0 = +-1 family: c(9c+4) = (16z/(z^2-144))^2
+        c1 = c.subs(v, 1)
+        assert sympy.cancel(c1 * (9 * c1 + 4) - (16 * z / (z ** 2 - 144)) ** 2) == 0
 
 
 def test_defining_identities_exact():
@@ -240,6 +259,24 @@ def test_certify_checks_the_l3_table(monkeypatch):
     inp = ConstructionInput(3, params={"a1": 0, "u1": 1, "z": 5})
     assert certify(inp).on_curve
     monkeypatch.setattr(constructions, "quotient_cubic", perturbed)
+    with pytest.raises(InvariantError, match="model drifted from table"):
+        certify(inp)
+
+
+def test_l4_table_is_checked_against_the_velu_codomain(monkeypatch):
+    # the l = 4 model is typed from the table, so only the chart identity
+    # f(s x + r) = s^3 g(x) ties it to the Velu codomain: moving the Kubert
+    # parameter from c - 1/16 to c - 1/8 must turn the check red
+    exact = constructions.kubert_curve
+
+    def shifted(l, *params):
+        return exact(l, params[0] - Fraction(1, 16)) if l == 4 else exact(l, *params)
+
+    c = FunctionField("c").gen
+    inp = ConstructionInput(4, params={"u": 1, "v": 1})
+    assert model_matches_table(quotient_model(4, c)) and certify(inp).valid
+    monkeypatch.setattr(constructions, "kubert_curve", shifted)
+    assert not model_matches_table(quotient_model(4, c))
     with pytest.raises(InvariantError, match="model drifted from table"):
         certify(inp)
 

@@ -182,7 +182,11 @@ def test_gras_resultant_negative_control(monkeypatch):
     t = Fraction(2)
     assert _gras_resultant(t, n_shift=1) != gras_quartic(t).poly
     # and the library check, fed a perturbed ptilde4, must fail formally too
-    _perturbed(monkeypatch, "_ptilde4_coeffs", 1)
+    with monkeypatch.context() as m:
+        _perturbed(m, "_ptilde4_coeffs", 1)
+        assert not gras_resultant_identity()
+    # and so must a perturbed Gras quartic on the other side
+    _perturbed(monkeypatch, "_gras_coeffs", 1)
     assert not gras_resultant_identity()
 
 

@@ -45,16 +45,6 @@ def test_evaluation_is_a_ring_homomorphism(f, g, a, b):
     at = {"a": a, "b": b}
     assert (f + g).evaluate(at) == f.evaluate(at) + g.evaluate(at)
     assert (f * g).evaluate(at) == f.evaluate(at) * g.evaluate(at)
-    if not g.is_zero:
-        assert (f * g).divexact(g) == f
-
-
-def test_divexact():
-    a, b = MultiPoly.gens(("a", "b"))
-    prod = (a + b) * (a - b)
-    assert prod.divexact(a + b) == a - b
-    with pytest.raises(ValueError):
-        (a * a + b).divexact(a + b)
 
 
 def test_evaluate():

@@ -5,8 +5,6 @@ import pytest
 
 from ellquot import (
     FunctionField,
-    MultiPoly,
-    MultiPolyRing,
     QQ,
     UniPoly,
     ZeroPolynomialError,
@@ -72,11 +70,11 @@ def test_compose_and_derivative():
 
 
 def test_resultant_linear_case_multivariate():
-    ring = MultiPolyRing(("a", "b"))
-    a, b = MultiPoly.gens(("a", "b"))
-    xr = UniPoly.gen(ring)
-    res = resultant(xr - UniPoly.constant(ring, a), xr - UniPoly.constant(ring, b))
-    assert res == b - a
+    # over Q(c): resultant(x - c, x - (c^2 + 1)) = c^2 + 1 - c
+    Fc = FunctionField("c")
+    c = Fc.gen
+    xc = UniPoly.gen(Fc)
+    assert resultant(xc - c, xc - (c * c + 1)) == c * c + 1 - c
 
 
 def test_resultant_evaluation_property():
