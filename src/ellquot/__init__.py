@@ -56,7 +56,7 @@ from .isogeny import (
     velu_quotient,
 )
 from .multipoly import MultiPoly
-from .poly import UniPoly, discriminant, prem, resultant
+from .poly import UniPoly, discriminant, resultant
 from .verify import draw_input, run_battery
 
 __version__ = "0.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "UniPoly",
     "resultant",
     "discriminant",
-    "prem",
     "FactorList",
     "factor_mod_p",
     "factor_over_Q",

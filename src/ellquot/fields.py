@@ -1,12 +1,13 @@
 """The exact coefficient field Q, and square roots of rationals.
 
-A field object exposes ``zero``, ``one``, coercion via ``__call__`` and
-``divexact``, so the polynomial layer stays generic over the coefficient
-field (Q here, Q(c) in ``funcfield``).  Rational numbers are plain
-``fractions.Fraction`` values, which already guarantee lowest terms and a
-positive denominator; ``QQ`` coerces ints and Fractions only, since text is
-parsed at the CLI and JSON boundary.  GF(p) has no field object: it lives
-only in the int-list kernel ``intpoly``, where ``factor`` reduces into it.
+A field object exposes ``zero``, ``one``, coercion via ``__call__`` and a
+``name``; its elements divide with ``/``.  That keeps the polynomial layer
+generic over the coefficient field (Q here, Q(c) in ``funcfield``).
+Rational numbers are plain ``fractions.Fraction`` values, which already
+guarantee lowest terms and a positive denominator; ``QQ`` coerces ints and
+Fractions only, since text is parsed at the CLI and JSON boundary.  GF(p)
+has no field object: it lives only in the int-list kernel ``intpoly``, where
+``factor`` reduces into it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ class RationalField:
         if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
-
-    def divexact(self, a, b):
-        return a / b
 
     def __repr__(self):
         return "Q"

@@ -152,9 +152,6 @@ class FunctionField:
             raise TypeError(f"cannot coerce {value!r} into {self.name}")
         return out
 
-    def divexact(self, a, b):
-        return self(a) / self(b)
-
     def __repr__(self):
         return self.name
 

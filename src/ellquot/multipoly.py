@@ -1,10 +1,9 @@
 """Sparse multivariate polynomials over Q; == is the exact identity check.
 
 Terms map exponent vectors to nonzero rational coefficients.  The class is a
-ring, not a field: it adds, subtracts, multiplies, raises to powers and
-evaluates, but never divides, so every formal identity is stated free of
-denominators.  The printed term order is graded lexicographic over the
-declared variable order.
+ring, not a field: it adds, subtracts, multiplies and raises to powers, but
+never divides, so every formal identity is stated free of denominators.  The
+printed term order is graded lexicographic over the declared variable order.
 """
 
 from __future__ import annotations
@@ -122,18 +121,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items()))))
-
-    def evaluate(self, assignment: dict) -> Fraction:
-        """Evaluate at rational values for every variable."""
-        vals = [Fraction(assignment[v]) for v in self.vars]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
 
     def __repr__(self):
         if not self.terms:

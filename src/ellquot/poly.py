@@ -5,7 +5,9 @@ and division between polynomials in different variables raise ValueError,
 and == and hash compare the variable too.  Composition is evaluation,
 f(g) = f(g(x)).  Coefficients are stored lowest degree first with no
 trailing zeros.  The same class serves the fields Q and Q(c), and no
-coefficient ring here is anything but a field.  Integer and modular work is
+coefficient ring here is anything but a field: a field object gives only
+zero, one, coercion and a name, its elements divide with ``/``, and the
+resultant is Euclid's over the field.  Integer and modular work is
 not done here: the gcd over Q hands the primitive integer models of its
 operands to the int-list kernel in ``intpoly``, which is also what the
 factoring and Galois layers use.
@@ -14,6 +16,7 @@ factoring and Galois layers use.
 from __future__ import annotations
 
 from .errors import ZeroPolynomialError
+from .fields import QQ
 from .intpoly import gcd_zz, integer_model
 
 
@@ -175,9 +178,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def map_coeffs(self, fn):
-        return UniPoly(self.field, [fn(c) for c in self.coeffs], self.var)
-
     def divmod(self, other: "UniPoly"):
         """Quotient and remainder; requires an invertible leading coefficient."""
         if other.is_zero:
@@ -215,7 +215,7 @@ class UniPoly:
         is taken in the int-list kernel, which keeps intermediate coefficients
         small; other fields use plain Euclid.
         """
-        if getattr(self.field, "name", "") == "Q" and self.degree > 2 and other.degree > 2:
+        if self.field == QQ and self.degree > 2 and other.degree > 2:
             return _gcd_primitive_q(self, other)
         a, b = self, other
         while not b.is_zero:
@@ -236,12 +236,6 @@ class UniPoly:
         F = self.field
         return self._wrap([F(k) * c for k, c in enumerate(self.coeffs) if k > 0])
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if self.is_zero or k == 0:
-            return self if k >= 0 else self._wrap(())
-        return self._wrap((self.field.zero,) * k + self.coeffs)
-
     def __repr__(self):
         if self.is_zero:
             return "0"
@@ -254,73 +248,30 @@ class UniPoly:
         return " + ".join(parts)
 
 
-def prem(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f = q*g + prem(f, g)."""
-    if g.is_zero:
-        raise ZeroPolynomialError("pseudo-division by zero")
-    d = g.lc
-    e = f.degree - g.degree + 1
-    r = f
-    while not r.is_zero and r.degree >= g.degree:
-        shift = r.degree - g.degree
-        r = r * d - (g * r.lc).shift(shift)
-        e -= 1
-    if e > 0:
-        r = r * d ** e
-    return r
-
-
 def resultant(f: UniPoly, g: UniPoly):
     """Resultant of f and g, with the convention resultant(f, x - c) = f(c).
 
-    Computed by the subresultant remainder sequence over Q or Q(c), whose
-    field objects supply the exact division ``divexact``.  The convention
-    equals the Sylvester determinant with the rows of g listed first, i.e.
-    (-1)^(deg f * deg g) times the f-first determinant.
+    This is Res(g, f), the Sylvester determinant with g's rows first, taken
+    by Euclid's remainder sequence over the coefficient field: for
+    A = Q*B + R, Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R).
     """
+    if f.field != g.field:
+        raise ValueError("mixed coefficient fields")
+    if f.var != g.var:
+        raise ValueError("mixed variables")
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("resultant of a zero polynomial")
-    return _resultant_fg(g, f)
-
-
-def _resultant_fg(A: UniPoly, B: UniPoly):
-    """Sylvester-determinant resultant with A's coefficient rows first."""
-    F = A.field
-    m, n = A.degree, B.degree
-    if m == 0 and n == 0:
-        return F.one
-    if n == 0:
-        return B.lc ** m
-    if m == 0:
-        return A.lc ** n
-    sign = 1
-    if m < n:
-        A, B = B, A
-        if m & n & 1:
-            sign = -sign
-    g = F.one
-    h = F.one
-    while True:
-        dA, dB = A.degree, B.degree
-        delta = dA - dB
-        if dA & dB & 1:
-            sign = -sign
-        R = prem(A, B)
-        A = B
-        denom = g * h ** delta
-        B = R.map_coeffs(lambda c: F.divexact(c, denom))
-        if B.is_zero:
-            return F.zero
-        g = A.lc
-        if delta > 0:
-            h = F.divexact(g ** delta, h ** (delta - 1))
-        if B.degree == 0:
-            break
-    dA = A.degree
-    res = F.divexact(B.lc ** dA, h ** (dA - 1)) if dA > 1 else B.lc ** dA
-    if sign < 0:
-        res = -res
-    return res
+    A, B = g, f
+    res = f.field.one
+    while B.degree > 0:
+        R = A % B
+        if R.is_zero:
+            return f.field.zero
+        if A.degree & B.degree & 1:
+            res = -res
+        res = res * B.lc ** (A.degree - R.degree)
+        A, B = B, R
+    return res * B.lc ** A.degree
 
 
 def discriminant(f: UniPoly):
@@ -328,8 +279,7 @@ def discriminant(f: UniPoly):
     n = f.degree
     if n < 2:
         raise ValueError("discriminant needs degree >= 2")
-    res = resultant(f, f.derivative())
-    res = f.field.divexact(res, f.lc)
+    res = resultant(f, f.derivative()) / f.lc
     if (n * (n - 1) // 2) % 2:
         res = -res
     return res

@@ -40,14 +40,17 @@ def test_ring_axioms(f, g, h):
 
 
 @SETTINGS
-@given(multipolys, multipolys, rationals, rationals)
-def test_evaluation_is_a_ring_homomorphism(f, g, a, b):
-    at = {"a": a, "b": b}
-    assert (f + g).evaluate(at) == f.evaluate(at) + g.evaluate(at)
-    assert (f * g).evaluate(at) == f.evaluate(at) * g.evaluate(at)
+@given(multipolys, multipolys)
+def test_arithmetic_agrees_with_sympy(f, g):
+    # sympy serves only as an oracle for the sums and products
+    import sympy
 
+    gens = sympy.symbols(VARS)
 
-def test_evaluate():
-    a, b = MultiPoly.gens(("a", "b"))
-    f = a * a * b - 3 * b + 2
-    assert f.evaluate({"a": 2, "b": Fraction(1, 2)}) == 2 - Fraction(3, 2) + 2
+    def to_sympy(h):
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in h.terms.items()}
+        return sympy.Poly.from_dict(terms or {(0, 0): 0}, gens)
+
+    a, b = to_sympy(f), to_sympy(g)
+    for got, want in ((f + g, a + b), (f * g, a * b)):
+        assert got.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in want.terms() if c}

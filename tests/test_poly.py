@@ -85,12 +85,24 @@ def test_resultant_evaluation_property():
 
 
 def test_resultant_against_sylvester_oracle():
+    # constants and deg f < deg g included; over Q(c) the leading
+    # coefficients are rational functions that Euclid's loop inverts
     rng = random.Random(3)
     for _ in range(40):
         f = rand_poly(rng, 4)
-        g = rand_poly(rng, 3)
-        if f.degree < 1 or g.degree < 1:
-            continue
+        g = rand_poly(rng, 4)
+        assert resultant(f, g) == sylvester_resultant(f, g)
+    Fc = FunctionField("c")
+    c = Fc.gen
+
+    def coeff():
+        return (c * rng.randint(-3, 3) + rng.randint(-3, 3)) / (c * c + rng.randint(1, 3))
+
+    for _ in range(8):
+        f, g = (
+            UniPoly(Fc, [coeff() for _ in range(rng.randint(0, 3))] + [coeff() + 1])
+            for _ in range(2)
+        )
         assert resultant(f, g) == sylvester_resultant(f, g)
 
 
@@ -114,6 +126,20 @@ def test_resultant_zero_iff_common_factor():
 def test_resultant_rejects_zero():
     with pytest.raises(ZeroPolynomialError):
         resultant(UniPoly.zero(QQ), x)
+
+
+def test_resultant_rejects_mixed_operands_even_when_constant():
+    Fc = FunctionField("c")
+    xc = UniPoly.gen(Fc)
+    cases = (
+        (x ** 2 + 1, UniPoly.constant(QQ, 3, "y"), "mixed variables"),
+        (x ** 2 + 1, UniPoly.constant(Fc, Fc.gen, "x"), "mixed coefficient fields"),
+        (x ** 2 + 1, xc ** 2 + 1, "mixed coefficient fields"),
+    )
+    for f, g, message in cases:
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match=message):
+                resultant(a, b)
 
 
 def test_discriminant_examples():
