@@ -6,9 +6,10 @@ a6 - b2*t - 7w, where t and w are the usual sums over the kernel with the
 
     X(P) = x + sum over kernel representatives of t_T/(x - x_T) + u_T/(x - x_T)^2
 
-assembled into a single fraction over the monic denominator
+added one term at a time from x/1, by cross-multiplying and with no
+polynomial division, into a single fraction over the monic denominator
 prod (x - x_T)^e_T, with e_T = 1 at the 2-torsion point and 2 elsewhere, so
-fiber polynomials are canonical.  That fraction is already reduced, so no gcd
+fiber polynomials are canonical.  The fraction is already reduced, so no gcd
 is taken: at a representative T the numerator takes the value u_T (t_T at the
 2-torsion point) times the nonzero product of (x_T - x_R)^e_R over the other
 representatives R, and u_T = g_y(T)^2, t_T = g_x(T) at 2-torsion, are nonzero
@@ -74,11 +75,11 @@ def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData
 
     A must have exact order l on the curve: it is checked on the curve once,
     and the walk over its multiples that collects the kernel, which adds
-    without checks, is also the order check.  The x-map is reduced without a
-    gcd: den is a product of monic factors (x - x_Q), and num(x_Q) is u_Q
-    (t_Q at the 2-torsion point) times a product of nonzero differences
-    x_Q - x_R, where u_Q = g_y(Q)^2 and the 2-torsion t_Q = g_x(Q) are nonzero
-    on a nonsingular curve.  Each num(x_Q) is evaluated; a zero raises
+    without checks, is also the order check.  The x-map num/den starts at x/1
+    and each representative Q adds t_Q/(x - x_Q), then u_Q/(x - x_Q)^2 unless
+    Q is the 2-torsion point.  It is reduced without a gcd, as the module
+    docstring argues: num(x_Q) is u_Q (t_Q at the 2-torsion point) times
+    nonzero differences x_Q - x_R.  Each num(x_Q) is evaluated; a zero raises
     InvariantError.
     """
     if A.inf:
@@ -104,7 +105,7 @@ def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData
     x = UniPoly.gen(F)
     t = F.zero
     w = F.zero
-    terms = []
+    num = x
     den = UniPoly.one(F)
     for Q, is_two_torsion in reps:
         gx = 3 * Q.x * Q.x + 2 * a2 * Q.x + a4 - a1 * Q.y
@@ -113,18 +114,15 @@ def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData
         uQ = gy * gy
         t = t + tQ
         w = w + uQ + Q.x * tQ
-        lin = x - UniPoly.constant(F, Q.x)
-        terms.append((lin, tQ, None if is_two_torsion else uQ))
-        den = den * lin if is_two_torsion else den * lin * lin
+        lin = x - Q.x
+        num = num * lin + den * tQ
+        if not is_two_torsion:
+            num = num * lin + den * uQ
+            den = den * lin
+        den = den * lin
 
     codomain = WeierstrassCurve(F, a1, a2, a3, a4 - 5 * t, a6 - b.b2 * t - 7 * w)
 
-    num = x * den
-    for lin, tQ, uQ in terms:
-        cofactor = den.divexact(lin)
-        num = num + cofactor * tQ
-        if uQ is not None:
-            num = num + cofactor.divexact(lin) * uQ
     if num.degree != l or den.degree != l - 1:
         raise InvariantError(f"x-map degrees {num.degree}/{den.degree} for l = {l}")
     for Q, _ in reps:
@@ -219,4 +217,4 @@ def has_rational_preimage(isog: IsogenyData, Q: CurvePoint):
     P = preimage_x(isog, Q.x)
     if P is None:
         return False, None
-    return True, P if push_point(isog, P) == Q else isog.domain.neg(P)
+    return True, P if push_point(isog, P) == Q else isog.domain._neg(P)

@@ -31,7 +31,6 @@ from .families import (
     check_shanks_reproduction,
     gras_resultant_identity,
     p_ncl5,
-    ptilde_cubic,
     shanks_cubic,
     shanks_disc_identity,
 )

@@ -218,6 +218,30 @@ def test_has_rational_preimage_for_pushed_points():
         assert push_point(isog, witness) == target
 
 
+def test_the_sign_step_of_has_rational_preimage_checks_no_point(monkeypatch):
+    curve, A = kubert_curve(3, 0, 6)
+    isog = velu_quotient(curve, A, 3)
+    Q = push_point(isog, CurvePoint.affine(Fraction(3), Fraction(3)))
+    checked = []
+    contains = WeierstrassCurve.contains
+
+    def counting_contains(self, P):
+        checked.append(P)
+        return contains(self, P)
+
+    monkeypatch.setattr(WeierstrassCurve, "contains", counting_contains)
+    counts = []
+    for target in (Q, isog.codomain._neg(Q)):
+        checked.clear()
+        found, witness = has_rational_preimage(isog, target)
+        assert found
+        counts.append((witness, len(checked)))
+    # Q and -Q have the same fiber and the same lift P; one of them takes P, the other -P
+    (first, first_checks), (second, second_checks) = counts
+    assert second == curve._neg(first)
+    assert second_checks == first_checks
+
+
 def test_lift_x_gives_both_points_sorted_by_y():
     rng = random.Random(43)
     checked = rootless = 0
@@ -304,23 +328,26 @@ def test_velu_denominator_vanishes_exactly_on_the_kernel(l, p, q):
 @pytest.fixture(scope="module")
 def symbolic_quotients():
     Fc = FunctionField("c")
-    return {l: velu_quotient(*kubert_curve(l, Fc.gen), l) for l in (4, 5, 6)}
+    return {l: velu_quotient(*kubert_curve(l, Fc.gen), l) for l in range(4, 10)}
 
 
 @SETTINGS
-@given(l=st.sampled_from([4, 5, 6]), c0=rationals)
-def test_symbolic_quotient_specialises_to_the_rational_one(symbolic_quotients, l, c0):
-    curve, A = _kubert_or_skip(l, c0)
-    want = velu_quotient(curve, A, l)
-    got = symbolic_quotients[l]
-
+@given(c0=rationals)
+def test_symbolic_quotient_specialises_to_the_rational_one(symbolic_quotients, c0):
     def at_c0(f):
         return UniPoly(QQ, [a.evaluate(c0) for a in f.coeffs])
 
-    assert at_c0(got.phi_x_num) == want.phi_x_num
-    assert at_c0(got.phi_x_den) == want.phi_x_den
-    codomain = tuple(a.evaluate(c0) for a in got.codomain.a_invariants())
-    assert codomain == want.codomain.a_invariants()
+    # l = 8 is the first level whose x-map coefficients are not polynomial in c
+    for l, got in symbolic_quotients.items():
+        try:
+            curve, A = kubert_curve(l, c0)
+        except EllquotError:
+            continue
+        want = velu_quotient(curve, A, l)
+        assert at_c0(got.phi_x_num) == want.phi_x_num
+        assert at_c0(got.phi_x_den) == want.phi_x_den
+        codomain = tuple(a.evaluate(c0) for a in got.codomain.a_invariants())
+        assert codomain == want.codomain.a_invariants()
 
 
 def test_velu_takes_no_gcd_over_the_curve_field(monkeypatch):

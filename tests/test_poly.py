@@ -188,6 +188,18 @@ def test_polynomials_in_different_variables_do_not_mix():
     assert FunctionField("c")(UniPoly.gen(QQ, "c")) == c
 
 
+@pytest.mark.parametrize("degree", [1, 3])
+def test_division_and_gcd_refuse_polynomials_over_another_field(degree):
+    xc = UniPoly.gen(FunctionField("c"))
+    over_q, over_qc = x ** degree + 2 * x + 1, xc ** degree + 1
+    for f, g in ((over_q, over_qc), (over_qc, over_q)):
+        for op in (lambda: f.divmod(g), lambda: f % g, lambda: f.gcd(g)):
+            with pytest.raises(ValueError, match="mixed coefficient fields"):
+                op()
+    with pytest.raises(ZeroPolynomialError):
+        xc.divmod(UniPoly.zero(xc.field))
+
+
 def test_coefficients_of_another_field_are_refused_when_built():
     Fc, Fs = FunctionField("c"), FunctionField("s")
     with pytest.raises(ValueError, match="mixed variables"):
