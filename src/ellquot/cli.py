@@ -9,11 +9,11 @@ reproducible; the ELLQUOT_SEED environment variable sets the default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .constructions import CONSTRUCTION_PARAMETERS, ConstructionInput, certify
 from .curves import KUBERT_PARAMETERS, kubert_curve
@@ -23,6 +23,8 @@ from .funcfield import FunctionField
 from .galois import DEFAULT_PRIME_BUDGET, galois_group
 from .isogeny import velu_quotient
 from .jsonio import (
+    MAX_POLY_TEXT,
+    MAX_RATIONAL_DIGITS,
     certificate_to_json,
     curve_to_json,
     family_to_json,
@@ -30,6 +32,7 @@ from .jsonio import (
     isogeny_to_json,
     point_to_json,
     poly_from_ascii,
+    rational_from_ascii,
 )
 from .verify import draw_input, run_battery
 
@@ -55,13 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
-
-
 def _emit(payload, status="ok", diagnostics=()):
     print(
         json.dumps(
@@ -77,6 +73,12 @@ def _emit_error(exc) -> int:
     return 2
 
 
+def _add_rational_flags(cmd, flags):
+    text = f"rational N or N/D, signed or not, N and D at most {MAX_RATIONAL_DIGITS} ASCII digits"
+    for flag in flags:
+        cmd.add_argument(f"--{flag}", help=text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ellquot", description=__doc__)
     # argparse converts a string default only when --seed is absent, so a
@@ -88,29 +90,26 @@ def build_parser() -> _Parser:
     quo = sub.add_parser("quotient", help="degree-l quotient isogeny data")
     for cmd in (fam, quo):
         cmd.add_argument("--l", type=int, required=True)
-        for flag in KUBERT_FLAGS:
-            cmd.add_argument(f"--{flag}", type=_fraction)
+        _add_rational_flags(cmd, KUBERT_FLAGS)
     quo.add_argument("--symbolic", action="store_true", help="run over Q(c)")
 
     con = sub.add_parser("construct", help="certificate for one constructed point")
     con.add_argument("--l", type=int, required=True, choices=CONSTRUCTION_LEVELS)
     rows = sorted({row for _, row in CONSTRUCTION_PARAMETERS if row})
     con.add_argument("--row", type=int, choices=rows)
-    for flag in CONSTRUCTION_FLAGS:
-        con.add_argument(f"--{flag}", type=_fraction)
+    _add_rational_flags(con, CONSTRUCTION_FLAGS)
     con.add_argument("--as-printed", action="store_true")
 
     gal = sub.add_parser("galois", help="Galois group report for degree 3..6")
-    gal.add_argument("--poly", help="polynomial in canonical ASCII form")
+    gal.add_argument("--poly", help=f"polynomial in ASCII form, at most {MAX_POLY_TEXT} characters;"
+                     " each coefficient as a rational flag, in parentheses when signed")
     gal.add_argument("--family", choices=sorted(FAMILIES))
-    for flag in FAMILY_FLAGS:
-        gal.add_argument(f"--{flag}", type=_fraction)
+    _add_rational_flags(gal, FAMILY_FLAGS)
     gal.add_argument("--primes", type=int, default=DEFAULT_PRIME_BUDGET)
 
     pf = sub.add_parser("polyfam", help="closed-form family polynomial")
     pf.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    for flag in FAMILY_FLAGS:
-        pf.add_argument(f"--{flag}", type=_fraction)
+    _add_rational_flags(pf, FAMILY_FLAGS)
 
     sw = sub.add_parser("sweep", help="JSON-lines certificates over random draws")
     sw.add_argument("--l", type=int, required=True, choices=CONSTRUCTION_LEVELS)
@@ -125,8 +124,9 @@ def build_parser() -> _Parser:
 
 
 def _set_flags(args, flags):
-    """The given flags that are set, by name."""
-    return {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    """The given flags that are set, by name, each read by rational_from_ascii."""
+    texts = {k: getattr(args, k) for k in flags}
+    return {k: rational_from_ascii(text, f"--{k}") for k, text in texts.items() if text is not None}
 
 
 def _kubert_args(args, symbolic=False):
@@ -198,15 +198,14 @@ def cmd_sweep(args) -> int:
     if not 1 <= args.jobs <= cpus:
         raise EllquotError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     tasks = [(args.l, args.seed, i) for i in range(args.count)]
-    if args.jobs > 1:
-        import multiprocessing
+    with contextlib.ExitStack() as stack:
+        apply = map
+        if args.jobs > 1:
+            import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
-            for payload in pool.imap(_sweep_one, tasks):
-                print(json.dumps(payload))
-    else:
-        for task in tasks:
-            print(json.dumps(_sweep_one(task)))
+            apply = stack.enter_context(multiprocessing.Pool(args.jobs)).imap
+        for payload in apply(_sweep_one, tasks):
+            print(json.dumps(payload))
     return 0
 
 

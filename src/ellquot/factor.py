@@ -387,9 +387,10 @@ def _zassenhaus(f):
     if len(f) == 2:
         return [f]
     bound = _mignotte_bound(f)
-    # pick a prime keeping f squarefree mod p, preferring few modular factors
+    # pick a prime keeping f squarefree mod p, preferring few modular factors;
+    # a squarefree f has finitely many bad primes, so the search ends
     candidates = []
-    for p, fp in _squarefree_primes(f, itertools.islice(primes(), 120)):
+    for p, fp in _squarefree_primes(f, primes()):
         facs = [g for g, _ in _factor_mod(ip.monic(fp, p), p)]
         candidates.append((len(facs), p, facs))
         if len(candidates) == 5 or len(facs) <= 2:

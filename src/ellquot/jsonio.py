@@ -1,34 +1,66 @@
-"""Exact JSON and ASCII encodings of the values the CLI prints.
+"""Exact JSON and ASCII encodings of the values the CLI prints, and its readers.
 
 Rationals serialize as two decimal integer strings, polynomials over Q and
 over Q(c) (one encoder, poly_to_json) as coefficient lists lowest degree
-first.  Rationals, polynomials over Q (as JSON or canonical ASCII), and
-curves and points over Q have decoders and round-trip exactly; values over
-Q(c), isogenies, fibers, certificates, Galois reports and family members are
-encoded for output only.  No floating point appears anywhere.
+first, and polynomials over Q also in a canonical ASCII form that
+poly_from_ascii reads back.  Nothing reads JSON back.  No floating point
+appears anywhere.  rational_from_ascii is the one reader of a rational the
+CLI is given, flag or polynomial coefficient.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 
-from .curves import INFINITY, CurvePoint, WeierstrassCurve
+from .curves import CurvePoint, WeierstrassCurve
 from .factor import FACTOR_DEGREE_CAP
 from .fields import QQ
 from .funcfield import RatFunc
 from .isogeny import FiberPolynomial, IsogenyData
 from .poly import UniPoly
 
+# The largest printed integer has up to 55.3 times the digits of the input
+# rationals (quotient --l 12: 2103 digits at 38, 2158 at 39), so at this cap
+# every command prints at most 2150 digits
+MAX_RATIONAL_DIGITS = 38
+# one term per degree, each a cap-sized (num/den) with 32 characters to spare
+# for its sign, parentheses, spaces, variable and exponent
+MAX_POLY_TEXT = (FACTOR_DEGREE_CAP + 1) * (2 * MAX_RATIONAL_DIGITS + 32)
+
+_RATIONAL = re.compile(r"\s*(-?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?", re.ASCII)
+
+
+def _excerpt(text: str) -> str:
+    """repr of text cut to 24 characters, fewer than an overlong number's digits."""
+    return repr(text) if len(text) <= 24 else repr(text[:24]) + "..."
+
+
+def rational_from_ascii(text: str, what: str) -> Fraction:
+    """The rational that text writes as -?[0-9]+(/[0-9]+)?, ASCII digits, spaces allowed.
+
+    Other text, a zero denominator, or more than MAX_RATIONAL_DIGITS digits
+    in the numerator or denominator raises ValueError naming `what` (a flag
+    or a polynomial term) and quoting no overlong number.
+    """
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"{what}: {_excerpt(text)} is not a rational -?[0-9]+(/[0-9]+)?")
+    sign, num, den = m.groups()
+    for part, digits in (("numerator", num), ("denominator", den or "")):
+        if len(digits) > MAX_RATIONAL_DIGITS:
+            raise ValueError(
+                f"{what}: the {part} has more than {MAX_RATIONAL_DIGITS} digits,"
+                " the cap on every rational input (jsonio.MAX_RATIONAL_DIGITS)"
+            )
+    if den and not int(den):
+        raise ValueError(f"{what}: zero denominator")
+    return Fraction(int(sign + num), int(den or 1))
+
 
 def rational_to_json(q) -> list:
     q = Fraction(q)
     return [str(q.numerator), str(q.denominator)]
-
-
-def rational_from_json(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
 
 
 def poly_to_json(f: UniPoly) -> dict:
@@ -38,10 +70,6 @@ def poly_to_json(f: UniPoly) -> dict:
     over Q; other coefficient rings raise ValueError.
     """
     return {"var": f.var, "coeffs": [_field_elem_to_json(c) for c in f.coeffs]}
-
-
-def poly_from_json(obj) -> UniPoly:
-    return UniPoly(QQ, [rational_from_json(c) for c in obj["coeffs"]], obj["var"])
 
 
 def poly_to_ascii(f: UniPoly) -> str:
@@ -58,88 +86,69 @@ def poly_to_ascii(f: UniPoly) -> str:
     return " + ".join(parts)
 
 
-# an unsigned term: coefficient, variable power, or both (the * optional)
+# an unsigned term: coefficient (bare, or in parentheses with its own sign),
+# variable power, or both (the * optional)
 _TERM = re.compile(
-    r"(?:(?P<coef>\d+(?:\s*/\s*\d+)?|\(\s*-?\s*\d+(?:\s*/\s*\d+)?\s*\))"
-    r"(?:\s*\*?\s*(?=[A-Za-z]))?)?"
-    r"(?:(?P<var>[A-Za-z]\w*)(?:\s*\^\s*(?P<pow>\d+))?)?"
+    r"(?:(?P<coef>\([^()]*\)|[^()*A-Za-z]+?)(?:\s*\*?\s*(?=[A-Za-z]))?)?"
+    r"(?:(?P<var>[A-Za-z]\w*)(?:\s*\^\s*(?P<pow>\d+))?)?",
+    re.ASCII,
 )
-
-
-def _signed_terms(text):
-    """Split text at the + and - signs outside parentheses.
-
-    Every piece but the first starts with its sign; the first piece is the
-    text before the first sign (blank when the polynomial starts with one).
-    """
-    pieces, start, depth = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0:
-            pieces.append(text[start:i])
-            start = i
-    pieces.append(text[start:])
-    return pieces
+# the place before each + or - that no ")" closes, i.e. outside parentheses
+_SIGN = re.compile(r"(?=[+-])(?![^()]*\))")
 
 
 def poly_from_ascii(text: str) -> UniPoly:
     """Parse the canonical ASCII polynomial form (and tolerant variants).
 
-    Accepts terms like '(3/2)*x^2', '-x', '5', 'x^3 - 2*x + 1/3'.  The
-    variable is the one the text uses (x for a constant).  Every term
-    carries at most one sign; an empty text, a dangling sign, a malformed
-    term, a numerator or denominator with more digits than the interpreter's
-    int-string limit (sys.get_int_max_str_digits()) or an exponent above
-    FACTOR_DEGREE_CAP raises ValueError.
+    A sum of terms, each after a + or - sign (optional on the first): a
+    coefficient, a power var^k (var for k = 1), or both, joined by an
+    optional *, as in '(3/2)*x^2', '-x', '5', 'x^3 - 2*x + 1/3'.  A
+    coefficient is read by rational_from_ascii, bare, or in parentheses with
+    its own sign ('-(-3/2)*x' is (3/2)*x).  One variable serves the text (x
+    for a constant) and each degree appears once.  A text over MAX_POLY_TEXT
+    characters (checked first), an empty text, a dangling sign, a malformed
+    term, a repeated degree or an exponent above FACTOR_DEGREE_CAP raises
+    ValueError quoting at most 24 characters of the term and of the text.
     """
-    pieces = _signed_terms(text)
+    where = _excerpt(text)
+    if len(text) > MAX_POLY_TEXT:
+        raise ValueError(
+            f"polynomial text {where} is longer than {MAX_POLY_TEXT} characters,"
+            " the cap (jsonio.MAX_POLY_TEXT)"
+        )
+    pieces = _SIGN.split(text)
     if not pieces[0].strip():
         pieces = pieces[1:]
     if not pieces:
-        raise ValueError(f"empty polynomial text {text!r}")
+        raise ValueError(f"empty polynomial text {where}")
     coeffs: dict[int, Fraction] = {}
     seen_var = None
     for piece in pieces:
         sign = -1 if piece[0] == "-" else 1
         term = piece[1:].strip() if piece[0] in "+-" else piece.strip()
         if not term:
-            raise ValueError(f"missing term after {piece.strip()!r} in {text!r}")
+            raise ValueError(f"missing term after {piece.strip()!r} in {where}")
         m = _TERM.fullmatch(term)
         if not m:
-            raise ValueError(f"cannot parse polynomial term {term!r} in {text!r}")
-        coef_text = re.sub(r"[()\s]", "", m["coef"] or "1")
-        # the digit counts are checked first: Fraction() refuses strings longer
-        # than the interpreter's limit (0: none, as before Python 3.10.7)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        for digits in coef_text.lstrip("-").split("/"):
-            if limit and len(digits) > limit:
-                raise ValueError(
-                    f"coefficient in term {term!r} of {text!r} has more than {limit}"
-                    " digits, the interpreter's int-string limit"
-                )
-        try:
-            coef = sign * Fraction(coef_text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in term {term!r} in {text!r}") from None
-        if m["var"] is None:
-            k = 0
-        else:
-            if seen_var is None:
-                seen_var = m["var"]
-            elif m["var"] != seen_var:
-                raise ValueError(f"mixed variables {seen_var!r} and {m['var']!r}")
+            raise ValueError(f"cannot parse polynomial term {_excerpt(term)} in {where}")
+        coef_text = (m["coef"] or "1").strip("()")
+        coef = sign * rational_from_ascii(coef_text, f"term {_excerpt(term)} in {where}")
+        k = 0
+        if m["var"]:
+            if seen_var not in (None, m["var"]):
+                raise ValueError(f"mixed variables {_excerpt(seen_var)} and {_excerpt(m['var'])}")
+            seen_var = m["var"]
             digits = (m["pow"] or "1").lstrip("0") or "0"
             # the digit count is checked first: int() refuses very long strings
             if len(digits) > len(str(FACTOR_DEGREE_CAP)) or int(digits) > FACTOR_DEGREE_CAP:
                 raise ValueError(
-                    f"exponent {digits} in term {term!r} of {text!r} exceeds the degree cap"
+                    f"exponent in term {_excerpt(term)} of {where} exceeds the degree cap"
                     f" of {FACTOR_DEGREE_CAP}"
                 )
             k = int(digits)
-        coeffs[k] = coeffs.get(k, Fraction(0)) + coef
+        if k in coeffs:
+            raise ValueError(f"degree {k} appears twice in {where}; give each degree once")
+        coeffs[k] = coef
     n = max(coeffs)
     return UniPoly(QQ, [coeffs.get(k, Fraction(0)) for k in range(n + 1)], seen_var or "x")
 
@@ -166,21 +175,10 @@ def curve_to_json(curve: WeierstrassCurve) -> dict:
     }
 
 
-def curve_from_json(obj) -> WeierstrassCurve:
-    vals = [rational_from_json(obj[k]) for k in ("a1", "a2", "a3", "a4", "a6")]
-    return WeierstrassCurve(QQ, *vals)
-
-
 def point_to_json(P: CurvePoint) -> dict:
     if P.inf:
         return {"inf": True}
     return {"inf": False, "x": _field_elem_to_json(P.x), "y": _field_elem_to_json(P.y)}
-
-
-def point_from_json(obj) -> CurvePoint:
-    if obj.get("inf"):
-        return INFINITY
-    return CurvePoint.affine(rational_from_json(obj["x"]), rational_from_json(obj["y"]))
 
 
 def isogeny_to_json(isog: IsogenyData) -> dict:

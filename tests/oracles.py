@@ -1,11 +1,15 @@
 """Independent brute-force oracles the tests check the library against.
 
 These deliberately avoid the library's own algorithms: the resultant oracle
-builds the Sylvester matrix and expands its determinant by cofactors, and the
-naive root search scans divisor candidates directly.
+builds the Sylvester matrix and expands its determinant by cofactors, the
+naive root search scans divisor candidates directly, and the JSON decoders
+read back what jsonio's encoders write (the library itself reads no JSON).
 """
 
+import math
 from fractions import Fraction
+
+from ellquot import INFINITY, QQ, CurvePoint, UniPoly, WeierstrassCurve
 
 
 def sylvester_resultant(f, g):
@@ -49,8 +53,6 @@ def _det_cofactor(rows, field):
 
 def naive_rational_roots(f):
     """Rational roots by direct divisor enumeration (small inputs only)."""
-    import math
-
     den = 1
     for c in f.coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
@@ -78,11 +80,37 @@ def naive_rational_roots(f):
     for r in set(roots):
         val = f
         while True:
-            from ellquot import QQ, UniPoly
-
             q, rem = val.divmod(UniPoly(QQ, [-r, Fraction(1)]))
             if not rem.is_zero:
                 break
             out.append(r)
             val = q
     return sorted(out)
+
+
+def rational_from_json(pair) -> Fraction:
+    """The rational of a [numerator, denominator] pair of decimal strings.
+
+    ValueError unless the pair is the canonical one rational_to_json writes
+    (strings, lowest terms, positive denominator), so a round trip checks the
+    encoding as well as the value.
+    """
+    q = Fraction(int(pair[0]), int(pair[1]))
+    if list(pair) != [str(q.numerator), str(q.denominator)]:
+        raise ValueError(f"not a canonical rational pair: {pair!r}")
+    return q
+
+
+def poly_from_json(obj) -> UniPoly:
+    return UniPoly(QQ, [rational_from_json(c) for c in obj["coeffs"]], obj["var"])
+
+
+def curve_from_json(obj) -> WeierstrassCurve:
+    keys = ("a1", "a2", "a3", "a4", "a6")
+    return WeierstrassCurve(QQ, *(rational_from_json(obj[k]) for k in keys))
+
+
+def point_from_json(obj) -> CurvePoint:
+    if obj["inf"]:
+        return INFINITY
+    return CurvePoint.affine(rational_from_json(obj["x"]), rational_from_json(obj["y"]))

@@ -1,12 +1,19 @@
 import json
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ellquot import cli, families, verify
+from ellquot import cli, families, jsonio, verify
 from ellquot.cli import main
 from ellquot.errors import InvariantError
+from ellquot.jsonio import MAX_RATIONAL_DIGITS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -282,3 +289,103 @@ def test_verify_paper_prime_budget_above_the_cap_is_a_domain_error(capsys, monke
         code, out = run_cli(capsys, "verify-paper", "--primes", budget)
         assert code == 2
         assert "below the minimum of 1" in json.loads(out)["payload"]["message"]
+
+
+# one command per flag table, each with its rational flags; the value
+# under test replaces the last flag's
+RATIONAL_COMMANDS = [
+    "family --l 5 --c",
+    "quotient --l 3 --a1 0 --a3",
+    "construct --l 4 --u 1 --v",
+    "construct --l 6 --v0 1 --z",
+    "galois --family ptilde3 --u 1 --v 2 --n",
+    "polyfam --family darmon --S 1 --T",
+]
+
+
+def _no_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a rational flag was not checked first")
+
+    for name in ("kubert_curve", "velu_quotient", "certify", "galois_group", "family_polynomial"):
+        monkeypatch.setattr(cli, name, fail)
+    monkeypatch.setattr(jsonio, "UniPoly", fail)
+
+
+@pytest.mark.parametrize("command", RATIONAL_COMMANDS)
+def test_a_rational_flag_outside_the_grammar_is_a_domain_error(capsys, monkeypatch, command):
+    _no_work(monkeypatch)
+    flag = command.split()[-1]
+    for text in ("1.5", "2.5e-1", "1e1000000", "1_000", "٣", "1/0"):
+        code, out = run_cli(capsys, *command.split()[:-1], f"{flag}={text}")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["payload"]["message"].startswith(f"{flag}: ")
+
+
+@pytest.mark.parametrize("command", [*RATIONAL_COMMANDS, "galois --poly"])
+def test_a_rational_one_digit_over_the_cap_is_a_domain_error_before_any_work(
+    capsys, monkeypatch, command
+):
+    _no_work(monkeypatch)
+    *argv, flag = command.split()
+    cap, big = MAX_RATIONAL_DIGITS, "9" * (MAX_RATIONAL_DIGITS + 1)
+    for value, part in ((f"-{big}/7", "numerator"), (f"7/{big}", "denominator")):
+        text = f"x^3 + ({value})*x + 1" if flag == "--poly" else value
+        code, out = run_cli(capsys, *argv, f"{flag}={text}")
+        assert code == 2
+        message = json.loads(out)["payload"]["message"]
+        named = f"term '({value[:15]}" if flag == "--poly" else f"{flag}:"
+        assert message.startswith(named)
+        assert f"the {part} has more than {cap} digits" in message
+        assert big not in message
+
+
+def _at_cap(last):
+    """A rational of cap-sized numerator and denominator, the denominator ending in `last`."""
+    return f"{'9' * MAX_RATIONAL_DIGITS}/{'9' * (MAX_RATIONAL_DIGITS - 1)}{last}"
+
+
+# the commands whose output grows most with the digits of their input
+AT_CAP = {
+    "quotient --l 12": ["quotient", "--l", "12", f"--c=-{_at_cap(8)}"],
+    "construct --l 6": ["construct", "--l", "6", f"--v0={_at_cap(8)}", f"--z=-{_at_cap(8)}"],
+    "galois --poly degree 6": [
+        "galois",
+        "--poly",
+        " + ".join(f"({'-' * (k % 2)}{_at_cap(k)})*x^{k}" for k in range(6, -1, -1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", AT_CAP.values(), ids=AT_CAP)
+def test_the_largest_outputs_at_the_cap_print(argv):
+    # the loose timeout is no speed check: construct --l 6 takes a few seconds
+    done = subprocess.run(
+        [sys.executable, "-m", "ellquot.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout)["status"] == "ok"
+    digits = [len(s.lstrip("-")) for s in re.findall(r'"(-?[0-9]+)"', done.stdout)]
+    assert 1000 < max(digits) <= 2150
+
+
+def test_a_long_poly_coefficient_gets_one_verdict_under_any_int_string_limit():
+    text = "x^3 + " + "9" * 700 + "*x + 1"
+    runs = []
+    for limit in (None, "640", "0"):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        done = subprocess.run(
+            [sys.executable, "-m", "ellquot.cli", "galois", "--poly", text],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        runs.append((done.returncode, done.stdout))
+    assert runs[0] == runs[1] == runs[2]
+    code, out = runs[0]
+    assert code == 2
+    assert f"more than {MAX_RATIONAL_DIGITS} digits" in json.loads(out)["payload"]["message"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,10 +12,11 @@ from ellquot import (
     discriminant,
     factor_mod_p,
     factor_over_Q,
+    galois_group,
     rational_roots,
 )
 from ellquot import intpoly as ip
-from ellquot.factor import PRIMALITY_BOUND, _euler_split, is_probable_prime
+from ellquot.factor import PRIMALITY_BOUND, _euler_split, is_probable_prime, primes
 
 from oracles import naive_rational_roots
 
@@ -184,6 +186,17 @@ def test_factor_over_Q_examples():
     fl = factor_over_Q(f)
     assert fl.degrees() == (2, 3)
     assert fl.expand() == f
+
+
+def test_factor_over_Q_searches_past_every_small_bad_prime():
+    # each of the first 120 primes divides D, so it divides disc(x^k - D)
+    # and x^k - D has a repeated root mod every one of them
+    D = math.prod(itertools.islice(primes(), 120))
+    for k in (2, 3):
+        f = x ** k - D
+        assert factor_over_Q(f).factors == [(f, 1)]
+    assert factor_over_Q((x ** 2 - D) * (x ** 2 - 2 * D)).degrees() == (2, 2)
+    assert galois_group(x ** 3 - D).group_label == "S3"
 
 
 def test_factor_over_Q_random_products_round_trip():

@@ -17,22 +17,25 @@ from ellquot import (
 )
 from ellquot import jsonio
 from ellquot.jsonio import (
+    MAX_POLY_TEXT,
+    MAX_RATIONAL_DIGITS as CAP,
     certificate_to_json,
-    curve_from_json,
     curve_to_json,
     galois_report_to_json,
     isogeny_to_json,
-    point_from_json,
     point_to_json,
     poly_from_ascii,
-    poly_from_json,
     poly_to_ascii,
     poly_to_json,
-    rational_from_json,
+    rational_from_ascii,
     rational_to_json,
 )
+from oracles import curve_from_json, point_from_json, poly_from_json, rational_from_json
 
 x = UniPoly.gen(QQ)
+# a decimal, an exponent, an exponent past any digit cap, an underscore and
+# a non-ASCII digit: Fraction() reads each, the CLI reads none
+NOT_RATIONALS = ["1.5", "2.5e-1", "1e1000000", "1_000", "\u0663"]
 
 
 def test_rational_round_trip():
@@ -40,6 +43,40 @@ def test_rational_round_trip():
         encoded = rational_to_json(q)
         assert all(isinstance(s, str) for s in encoded)
         assert rational_from_json(encoded) == q
+
+
+def test_rational_from_ascii_reads_signed_integers_and_fractions():
+    assert rational_from_ascii("3", "--t") == 3
+    assert rational_from_ascii(" - 6 / 4 ", "--t") == Fraction(-3, 2)
+    assert rational_from_ascii("007/010", "--t") == Fraction(7, 10)
+    assert rational_from_ascii("-" + "9" * CAP + "/" + "8" * CAP, "--t") == -Fraction(9, 8)
+
+
+@pytest.mark.parametrize(
+    "text", [*NOT_RATIONALS, "", "-", "+3", "1/", "/2", "1/-2", "1/2/3", "(1)"]
+)
+def test_rational_from_ascii_rejects_every_other_form(text):
+    with pytest.raises(ValueError, match=r"^--t: .* is not a rational -\?\[0-9\]"):
+        rational_from_ascii(text, "--t")
+
+
+def test_rational_from_ascii_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="^--z: zero denominator$"):
+        rational_from_ascii("1/000", "--z")
+
+
+@pytest.mark.parametrize(
+    "text, part",
+    [("9" * (CAP + 1), "numerator"), ("-" + "9" * (CAP + 1) + "/2", "numerator"),
+     ("1/" + "9" * (CAP + 1), "denominator"), ("1/" + "0" * (CAP + 1), "denominator")],
+)
+def test_rational_from_ascii_caps_the_digits_of_each_side(text, part):
+    with pytest.raises(ValueError) as exc:
+        rational_from_ascii(text, "--z")
+    message = str(exc.value)
+    assert message.startswith(f"--z: the {part} has more than {CAP} digits")
+    assert "MAX_RATIONAL_DIGITS" in message
+    assert "9" * 10 not in message and "0" * 10 not in message
 
 
 def test_poly_round_trip():
@@ -90,40 +127,85 @@ def test_poly_ascii_rejects_an_exponent_above_the_cap(monkeypatch):
         raise AssertionError("a polynomial was built")
 
     monkeypatch.setattr(jsonio, "UniPoly", no_poly)
-    # 5000 digits is past the length int() accepts from a string
-    for k in (17, 100000, "9" * 5000):
-        with pytest.raises(ValueError, match=rf"exponent {k} in term 'x\^{k}'"):
+    # the longest exponent fills the text cap; its digit count is checked
+    # before int() reads it
+    for k in (17, 100000, "9" * (MAX_POLY_TEXT - 6)):
+        message = rf"^exponent in term 'x\^{str(k)[:22]}.* exceeds the degree cap of 16$"
+        with pytest.raises(ValueError, match=message):
             poly_from_ascii(f"1 + x^{k}")
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit before Python 3.10.7"
-)
-@pytest.mark.parametrize("limit", [None, 640])
+@pytest.mark.parametrize("limit", [None, 640, 0])
 def test_poly_ascii_rejects_a_coefficient_above_the_int_string_limit(limit):
-    # Fraction() refuses a numerator or denominator past the interpreter's
-    # int-string limit (4300 by default, down to 640 by -X int_max_str_digits)
+    # the coefficient cap, not the interpreter's int-string limit (4300 by
+    # default, 640 under -X int_max_str_digits=640, none at 0), decides
     saved = sys.get_int_max_str_digits()
     if limit is not None:
         sys.set_int_max_str_digits(limit)
     try:
-        cap = sys.get_int_max_str_digits()
-        big = "9" * (cap + 1)
-        assert poly_from_ascii("9" * cap + "*x + 1").degree == 1
-        for text, term in [
-            (big + "*x + 1", big + "*x"),
-            ("x + 1/" + big, "1/" + big),
-            (f"x - ({big}/2)*x^2", f"({big}/2)*x^2"),
-            ("x + 1/0" + "9" * cap, "1/0" + "9" * cap),
+        at_cap, big = "9" * CAP, "9" * (CAP + 1)
+        assert poly_from_ascii(f"{at_cap}*x + ({at_cap}/{at_cap}) - 1/{at_cap}*x^2").degree == 2
+        for text, part in [
+            (big + "*x + 1", "numerator"),
+            ("x + 1/" + big, "denominator"),
+            (f"x - ({big}/2)*x^2", "numerator"),
+            ("x + 1/0" + at_cap, "denominator"),
+            ("x + " + "9" * 700, "numerator"),
         ]:
             with pytest.raises(ValueError) as exc:
                 poly_from_ascii(text)
-            assert str(exc.value) == (
-                f"coefficient in term {term!r} of {text!r} has more than {cap}"
-                " digits, the interpreter's int-string limit"
-            )
+            assert f": the {part} has more than {CAP} digits" in str(exc.value)
+            assert big not in str(exc.value)
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def test_poly_ascii_reads_coefficients_with_the_rational_reader():
+    # each form is refused in front of a power, in parentheses and alone
+    for coef in NOT_RATIONALS:
+        for text in (f"{coef}*x^3 + x + 1", f"x^3 + ({coef})*x + 1", f"x^3 - x - {coef}"):
+            with pytest.raises(ValueError):
+                poly_from_ascii(text)
+    message = r"^term '\(1/0\)\*x' in 'x\^2 \+ \(1/0\)\*x': zero denominator$"
+    with pytest.raises(ValueError, match=message):
+        poly_from_ascii("x^2 + (1/0)*x")
+    # a term's sign, then a coefficient's own sign in parentheses
+    assert poly_from_ascii("-(-3/2)*x - ( - 2 )") == Fraction(3, 2) * x + 2
+
+
+def test_poly_ascii_reads_each_degree_once():
+    for text in ("x + x", "1 + x^0", "x^2 - 3*x^2 + 1"):
+        with pytest.raises(ValueError, match="appears twice"):
+            poly_from_ascii(text)
+
+
+def test_poly_ascii_caps_the_text_length_before_parsing(monkeypatch):
+    # the longest canonical text, degree 16 with cap-sized coefficients, fits
+    big = -Fraction(10 ** CAP - 1, 10 ** CAP - 2)
+    f = UniPoly(QQ, [big] * 17)
+    assert len(poly_to_ascii(f)) < MAX_POLY_TEXT
+    assert poly_from_ascii(poly_to_ascii(f)) == f
+    assert poly_from_ascii("x^16" + " " * (MAX_POLY_TEXT - 4)).degree == 16
+
+    # with no sign splitter, a text that reached the parser would fail otherwise
+    monkeypatch.setattr(jsonio, "_SIGN", None)
+    for text in ("x^16" + " " * (MAX_POLY_TEXT - 3), "x + " * 10 ** 6):
+        with pytest.raises(ValueError) as exc:
+            poly_from_ascii(text)
+        assert str(exc.value) == (
+            f"polynomial text {text[:24]!r}... is longer than {MAX_POLY_TEXT} characters,"
+            " the cap (jsonio.MAX_POLY_TEXT)"
+        )
+
+
+def test_poly_ascii_messages_quote_a_bounded_prefix():
+    # a malformed term at the end of a text just under the cap
+    text = " + ".join(f"{k}*x^{k}" for k in range(1, 17)) + " ?"
+    text = " " * (MAX_POLY_TEXT - len(text)) + text
+    with pytest.raises(ValueError) as exc:
+        poly_from_ascii(text)
+    assert "cannot parse polynomial term" in str(exc.value)
+    assert len(str(exc.value)) < 120
 
 
 def test_curve_point_round_trip():

@@ -23,16 +23,19 @@ from ellquot import (
 from ellquot import intpoly as ip
 from ellquot.curves import KUBERT_PARAMETERS
 from ellquot.jsonio import (
-    curve_from_json,
     curve_to_json,
-    point_from_json,
     point_to_json,
     poly_from_ascii,
-    poly_from_json,
     poly_to_ascii,
     poly_to_json,
 )
-from oracles import naive_rational_roots, sylvester_resultant
+from oracles import (
+    curve_from_json,
+    naive_rational_roots,
+    point_from_json,
+    poly_from_json,
+    sylvester_resultant,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
