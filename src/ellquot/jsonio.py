@@ -24,8 +24,8 @@ from .poly import UniPoly
 # rationals (quotient --l 12: 2103 digits at 38, 2158 at 39), so at this cap
 # every command prints at most 2150 digits
 MAX_RATIONAL_DIGITS = 38
-# one term per degree, each a cap-sized (num/den) with 32 characters to spare
-# for its sign, parentheses, spaces, variable and exponent
+# room for one term per degree, each a cap-sized (num/den) with 32 characters
+# to spare for its sign, parentheses, spaces, variable and exponent
 MAX_POLY_TEXT = (FACTOR_DEGREE_CAP + 1) * (2 * MAX_RATIONAL_DIGITS + 32)
 
 _RATIONAL = re.compile(r"\s*(-?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?", re.ASCII)
@@ -93,8 +93,25 @@ _TERM = re.compile(
     r"(?:(?P<var>[A-Za-z]\w*)(?:\s*\^\s*(?P<pow>\d+))?)?",
     re.ASCII,
 )
-# the place before each + or - that no ")" closes, i.e. outside parentheses
-_SIGN = re.compile(r"(?=[+-])(?![^()]*\))")
+
+
+def _signed_terms(text):
+    """Split text at the + and - signs outside parentheses.
+
+    Every piece but the first starts with its sign; the first piece is the
+    text before the first sign (blank when the polynomial starts with one).
+    """
+    pieces, start, depth = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0:
+            pieces.append(text[start:i])
+            start = i
+    pieces.append(text[start:])
+    return pieces
 
 
 def poly_from_ascii(text: str) -> UniPoly:
@@ -105,9 +122,10 @@ def poly_from_ascii(text: str) -> UniPoly:
     optional *, as in '(3/2)*x^2', '-x', '5', 'x^3 - 2*x + 1/3'.  A
     coefficient is read by rational_from_ascii, bare, or in parentheses with
     its own sign ('-(-3/2)*x' is (3/2)*x).  One variable serves the text (x
-    for a constant) and each degree appears once.  A text over MAX_POLY_TEXT
+    for a constant); terms of one degree add up.  A text over MAX_POLY_TEXT
     characters (checked first), an empty text, a dangling sign, a malformed
-    term, a repeated degree or an exponent above FACTOR_DEGREE_CAP raises
+    term, an exponent above FACTOR_DEGREE_CAP, or terms of one degree summing
+    to a numerator or denominator over MAX_RATIONAL_DIGITS digits raises
     ValueError quoting at most 24 characters of the term and of the text.
     """
     where = _excerpt(text)
@@ -116,7 +134,7 @@ def poly_from_ascii(text: str) -> UniPoly:
             f"polynomial text {where} is longer than {MAX_POLY_TEXT} characters,"
             " the cap (jsonio.MAX_POLY_TEXT)"
         )
-    pieces = _SIGN.split(text)
+    pieces = _signed_terms(text)
     if not pieces[0].strip():
         pieces = pieces[1:]
     if not pieces:
@@ -146,9 +164,16 @@ def poly_from_ascii(text: str) -> UniPoly:
                     f" of {FACTOR_DEGREE_CAP}"
                 )
             k = int(digits)
-        if k in coeffs:
-            raise ValueError(f"degree {k} appears twice in {where}; give each degree once")
-        coeffs[k] = coef
+        coeffs[k] = coeffs.get(k, Fraction(0)) + coef
+    # terms of one degree add up; their sum, too, keeps to the digit cap
+    for k, coef in coeffs.items():
+        for part, n in (("numerator", coef.numerator), ("denominator", coef.denominator)):
+            if abs(n) >= 10 ** MAX_RATIONAL_DIGITS:
+                raise ValueError(
+                    f"the terms of degree {k} in {where} sum to a {part} of more than"
+                    f" {MAX_RATIONAL_DIGITS} digits, the cap on every rational input"
+                    " (jsonio.MAX_RATIONAL_DIGITS)"
+                )
     n = max(coeffs)
     return UniPoly(QQ, [coeffs.get(k, Fraction(0)) for k in range(n + 1)], seen_var or "x")
 

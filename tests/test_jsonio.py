@@ -128,11 +128,17 @@ def test_poly_ascii_rejects_an_exponent_above_the_cap(monkeypatch):
 
     monkeypatch.setattr(jsonio, "UniPoly", no_poly)
     # the longest exponent fills the text cap; its digit count is checked
-    # before int() reads it
-    for k in (17, 100000, "9" * (MAX_POLY_TEXT - 6)):
-        message = rf"^exponent in term 'x\^{str(k)[:22]}.* exceeds the degree cap of 16$"
-        with pytest.raises(ValueError, match=message):
-            poly_from_ascii(f"1 + x^{k}")
+    # before int() reads it, which under a 640-digit int-string limit would
+    # refuse it with the interpreter's own message
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for k in (17, 100000, "9" * (MAX_POLY_TEXT - 6)):
+            message = rf"^exponent in term 'x\^{str(k)[:22]}.* exceeds the degree cap of 16$"
+            with pytest.raises(ValueError, match=message):
+                poly_from_ascii(f"1 + x^{k}")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @pytest.mark.parametrize("limit", [None, 640, 0])
@@ -173,10 +179,34 @@ def test_poly_ascii_reads_coefficients_with_the_rational_reader():
     assert poly_from_ascii("-(-3/2)*x - ( - 2 )") == Fraction(3, 2) * x + 2
 
 
-def test_poly_ascii_reads_each_degree_once():
-    for text in ("x + x", "1 + x^0", "x^2 - 3*x^2 + 1"):
-        with pytest.raises(ValueError, match="appears twice"):
-            poly_from_ascii(text)
+def test_poly_ascii_adds_the_terms_of_one_degree_and_caps_the_sum():
+    assert poly_from_ascii("x + x") == 2 * x
+    assert poly_from_ascii("1 + x^0") == UniPoly(QQ, [2])
+    assert poly_from_ascii("x^2 - 3*x^2 + 1") == -2 * x ** 2 + 1
+    assert poly_from_ascii("x^2 + x - x") == x ** 2
+    at_cap = "9" * CAP
+    assert poly_from_ascii(f"{10 ** CAP - 2}*x + x") == (10 ** CAP - 1) * x
+    # the sum is checked by value: 20 terms 1/d, d of 38 digits, sum to a
+    # numerator of 709 digits, past a 640-digit int-string limit, which meets
+    # the cap first
+    many = " + ".join(f"1/{10 ** CAP - i}*x" for i in range(1, 21))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text, k, part in [
+            (f"{at_cap}*x^3 + x^3 + 1", 3, "numerator"),
+            (f"x^2 + 1/{at_cap} - 1/{10 ** CAP - 2}", 0, "denominator"),
+            (many, 1, "numerator"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                poly_from_ascii(text)
+            message = str(exc.value)
+            assert f"the terms of degree {k} in " in message
+            assert f"sum to a {part} of more than {CAP} digits" in message
+            assert "MAX_RATIONAL_DIGITS" in message
+            assert "9" * 30 not in message
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_poly_ascii_caps_the_text_length_before_parsing(monkeypatch):
@@ -188,7 +218,7 @@ def test_poly_ascii_caps_the_text_length_before_parsing(monkeypatch):
     assert poly_from_ascii("x^16" + " " * (MAX_POLY_TEXT - 4)).degree == 16
 
     # with no sign splitter, a text that reached the parser would fail otherwise
-    monkeypatch.setattr(jsonio, "_SIGN", None)
+    monkeypatch.setattr(jsonio, "_signed_terms", None)
     for text in ("x^16" + " " * (MAX_POLY_TEXT - 3), "x + " * 10 ** 6):
         with pytest.raises(ValueError) as exc:
             poly_from_ascii(text)
