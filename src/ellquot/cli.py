@@ -54,6 +54,27 @@ CONSTRUCTION_LEVELS = sorted({l for l, _ in CONSTRUCTION_PARAMETERS})
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; a flag's value may start with '-', as in `--c -3/2`."""
+
+    def __init__(self, *args, **kwargs):
+        self.takes_value = {}  # option string -> whether it takes a value
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.takes_value.update(dict.fromkeys(action.option_strings, action.nargs is None))
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = []
+        for token in sys.argv[1:] if args is None else args:
+            after_flag = tokens and self.takes_value.get(tokens[-1])
+            if after_flag and token.startswith("-") and token not in self.takes_value:
+                tokens[-1] += "=" + token  # argparse reads the = form as a value
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
+
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 

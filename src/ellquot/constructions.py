@@ -27,7 +27,7 @@ Model conventions, fixed by matching the quotient tables symbolically:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .curves import CurvePoint, WeierstrassCurve, _field_of, kubert_curve
@@ -41,7 +41,6 @@ from .errors import (
 from .fields import QQ, rational_sqrt
 from .isogeny import (
     FiberPolynomial,
-    IsogenyData,
     has_rational_preimage,
     preimage_x,
     velu_quotient,
@@ -132,8 +131,7 @@ def _cubic_at(cubic, x, w=1):
     return ((4 * x + b2 * w) * x + b4x2 * w * w) * x + b6 * w ** 3
 
 
-@dataclass
-class QuotientModel:
+class QuotientModel(namedtuple("QuotientModel", "l parameter isogeny curve scale shift twisted")):
     """Quotient isogeny wired to the published model of its codomain.
 
     x_model = scale * x_velu + shift; for l != 4 this is an isomorphism of
@@ -141,13 +139,7 @@ class QuotientModel:
     quadratic twist and only x-level data transports.
     """
 
-    l: int
-    parameter: tuple
-    isogeny: IsogenyData
-    curve: WeierstrassCurve
-    scale: object
-    shift: object
-    twisted: bool
+    __slots__ = ()
 
     def from_model_x(self, x_model):
         return (x_model - self.shift) / self.scale
@@ -303,47 +295,44 @@ CONSTRUCTION_PARAMETERS = {
 }
 
 
-@dataclass
-class ConstructionInput:
+class ConstructionInput(namedtuple("ConstructionInput", "l row params as_printed")):
     """Free parameters selecting one constructed point.
 
     They are checked against CONSTRUCTION_PARAMETERS once, here, and kept in
     the table's order; as_printed is valid at (l, row) = (5, 1) only.
     """
 
-    l: int
-    row: int | None = None
-    params: dict = None
-    as_printed: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        params = {} if self.params is None else self.params
-        key = (self.l, self.row)
+    def __new__(cls, l, row=None, params=None, as_printed=False):
+        params = {} if params is None else params
+        key = (l, row)
         names = CONSTRUCTION_PARAMETERS.get(key)
         if names is None:
             raise ValueError(f"no (l, row) = {key} in {CONSTRUCTION_PARAMETERS}")
-        _check_as_printed(self.l, self.row, self.as_printed)
+        _check_as_printed(l, row, as_printed)
         check_parameters(f"the (l, row) = {key} construction", names, params)
-        self.params = {k: QQ(params[k]) for k in names}
+        return super().__new__(cls, l, row, {k: QQ(params[k]) for k in names}, as_printed)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check the replaced fields here too
+        return cls(*iterable)
 
 
-@dataclass
-class NontrivialPointCertificate:
+class NontrivialPointCertificate(
+    namedtuple(
+        "NontrivialPointCertificate",
+        "l params curve_F point b_point infinite_order nontrivial fiber excluded_reason witness",
+        defaults=(None, None, None, False, False, None, None, None),
+    )
+):
     """Evidence record for one constructed quotient-curve point.
 
     A certificate that stops early sets only what it established.
     """
 
-    l: int
-    params: dict
-    curve_F: WeierstrassCurve | None = None
-    point: CurvePoint | None = None
-    b_point: tuple | None = None
-    infinite_order: bool = False
-    nontrivial: bool = False
-    fiber: FiberPolynomial | None = None
-    excluded_reason: str | None = None
-    witness: CurvePoint | None = None
+    __slots__ = ()
 
     @property
     def on_curve(self) -> bool:

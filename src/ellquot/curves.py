@@ -17,7 +17,7 @@ on the curve, so a point built from checked points needs no check of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DegenerateParameterError,
@@ -31,13 +31,10 @@ from .funcfield import FunctionField, RatFunc
 MAZUR_TORSION_BOUND = 12
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(namedtuple("CurvePoint", "inf x y", defaults=(None, None))):
     """Affine point or the point at infinity."""
 
-    inf: bool
-    x: object = None
-    y: object = None
+    __slots__ = ()
 
     @classmethod
     def affine(cls, x, y):
@@ -52,14 +49,8 @@ class CurvePoint:
 INFINITY = CurvePoint(True)
 
 
-@dataclass(frozen=True)
-class BForm:
-    """Invariants of the model y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
-
-    b2: object
-    b4: object
-    b6: object
-    b8: object
+BForm = namedtuple("BForm", "b2 b4 b6 b8")
+BForm.__doc__ = "Invariants of the model y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."
 
 
 class WeierstrassCurve:

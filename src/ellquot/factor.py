@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import intpoly as ip
@@ -51,15 +51,16 @@ PRIMALITY_BOUND = 3317044064679887385961981
 
 
 def primes():
-    """Prime generator by incremental trial division; small needs only."""
+    """Prime generator by trial division up to the square root; small needs only."""
     yield 2
-    found = [2]
-    n = 3
-    while True:
-        if all(n % p for p in found if p * p <= n):
+    found = []
+    k = 0  # found[:k] holds the odd primes p with p * p <= n
+    for n in itertools.count(3, 2):
+        while k < len(found) and found[k] * found[k] <= n:
+            k += 1
+        if all(n % p for p in itertools.islice(found, k)):
             found.append(n)
             yield n
-        n += 2
 
 
 def is_probable_prime(n: int) -> bool:
@@ -254,12 +255,10 @@ def _factor_mod(f, p):
 # Public factorization API
 
 
-@dataclass
-class FactorList:
+class FactorList(namedtuple("FactorList", "unit factors")):
     """A factorization over Q: unit * prod(factor^multiplicity) is the input."""
 
-    unit: Fraction
-    factors: list
+    __slots__ = ()
 
     def expand(self) -> UniPoly:
         var = self.factors[0][0].var if self.factors else "x"

@@ -14,7 +14,7 @@ an equality of MultiPoly sums and products; none divides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantError, check_parameters
 from .fields import QQ
@@ -23,13 +23,8 @@ from .multipoly import MultiPoly
 from .poly import UniPoly, discriminant
 
 
-@dataclass
-class FamilyPolynomial:
-    """A member of a named polynomial family at stored parameter values."""
-
-    family: str
-    parameters: dict
-    poly: UniPoly
+FamilyPolynomial = namedtuple("FamilyPolynomial", "family parameters poly")
+FamilyPolynomial.__doc__ = "A member of a named polynomial family at stored parameter values."
 
 
 # Coefficients [a0, a1, ...] (lowest degree first) of each family, over any

@@ -10,8 +10,7 @@ quotient-curve point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
-from fractions import Fraction
+from collections import namedtuple
 
 from .factor import factor_mod_p, factor_over_Q, primes, rational_roots
 from .families import FamilyPolynomial
@@ -31,16 +30,16 @@ CYCLIC_PATTERNS = {
 }
 
 
-@dataclass
-class GaloisReport:
-    degree: int
-    irreducible: bool
-    disc: Fraction
-    disc_is_square: bool
-    group_label: str
-    certainty: str
-    primes_used: int
-    pattern_histogram: dict = dataclass_field(default_factory=dict)
+class GaloisReport(namedtuple("GaloisReport", "degree irreducible disc disc_is_square group_label"
+                              " certainty primes_used pattern_histogram", defaults=(None,))):
+    """The group label of a polynomial, its certainty and the sampling behind it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        # the histogram defaults to a fresh empty dict, never a shared one
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.pattern_histogram is not None else self._replace(pattern_histogram={})
 
 
 def check_prime_budget(prime_budget, minimum=1):
@@ -196,7 +195,7 @@ def cyclic_from_fiber(cert):
     report = galois_group(fiber)
     if report.group_label in ("C5", "C6"):
         # the valid certificate proves the cyclic group the samples suggest
-        report = replace(report, certainty="exact")
+        report = report._replace(certainty="exact")
     fam = FamilyPolynomial(
         family="fiber",
         parameters=dict(cert.params),

@@ -19,7 +19,7 @@ Everything runs over Q and symbolically over Q(c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 
 from .curves import INFINITY, CurvePoint, WeierstrassCurve
 from .errors import (
@@ -33,17 +33,32 @@ from .fields import QQ, rational_sqrt
 from .poly import UniPoly
 
 
-@dataclass
 class IsogenyData:
-    """A degree-l cyclic isogeny with rational kernel <A>."""
+    """A degree-l cyclic isogeny with rational kernel <A>.
 
-    domain: WeierstrassCurve
-    codomain: WeierstrassCurve
-    kernel_x: list
-    phi_x_num: UniPoly
-    phi_x_den: UniPoly
-    degree: int
-    kernel_points: list = dataclass_field(repr=False, default_factory=list)
+    Read-only like the named-tuple records, but a slotted class so that it
+    can be weakly referenced.
+    """
+
+    _fields = ("domain", "codomain", "kernel_x", "phi_x_num", "phi_x_den", "degree", "kernel_points")
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(self, domain, codomain, kernel_x, phi_x_num, phi_x_den, degree, kernel_points=None):
+        values = (domain, codomain, kernel_x, phi_x_num, phi_x_den, degree, kernel_points or [])
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IsogenyData is read-only: cannot set {name}")
+
+    def _astuple(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return IsogenyData, self._astuple()
+
+    def __eq__(self, other):
+        return type(other) is IsogenyData and self._astuple() == other._astuple()
 
     def x_map(self, x):
         """Evaluate the x-coordinate map at a field element off the kernel."""
@@ -62,12 +77,8 @@ class IsogenyData:
         return poly.monic()
 
 
-@dataclass
-class FiberPolynomial:
-    """Monic degree-l polynomial whose roots are the preimage x-coordinates."""
-
-    poly: UniPoly
-    base_point_x: object
+FiberPolynomial = namedtuple("FiberPolynomial", "poly base_point_x")
+FiberPolynomial.__doc__ = "Monic degree-l polynomial whose roots are the preimage x-coordinates."
 
 
 def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData:

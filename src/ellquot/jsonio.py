@@ -247,19 +247,13 @@ def certificate_to_json(cert) -> dict:
 
 
 def galois_report_to_json(report) -> dict:
-    return {
-        "degree": report.degree,
-        "irreducible": report.irreducible,
-        "disc": rational_to_json(report.disc),
-        "disc_is_square": report.disc_is_square,
-        "group_label": report.group_label,
-        "certainty": report.certainty,
-        "primes_used": report.primes_used,
-        "pattern_histogram": {
-            ",".join(str(d) for d in pattern): count
-            for pattern, count in sorted(report.pattern_histogram.items())
-        },
+    out = report._asdict()
+    out["disc"] = rational_to_json(report.disc)
+    out["pattern_histogram"] = {
+        ",".join(str(d) for d in pattern): count
+        for pattern, count in sorted(report.pattern_histogram.items())
     }
+    return out
 
 
 def family_to_json(fam) -> dict:

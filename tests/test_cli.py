@@ -177,6 +177,35 @@ def test_galois_poly_ascii(capsys):
     assert json.loads(out)["payload"]["group_label"] == "S3"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["family", "--l", "5"], "--c", "-3/2"),
+        (["construct", "--l", "5", "--row", "1"], "--z", "-2/3"),
+        (["galois", "--family", "shanks"], "--t", "-3/2"),
+        (["galois"], "--poly", "-x^3+2"),
+        (["galois"], "--poly", "-x^3 + 2"),
+    ],
+)
+def test_a_flag_takes_a_next_token_that_starts_with_a_minus_as_its_value(capsys, argv, flag, value):
+    spaced = run_cli(capsys, *argv, flag, value)
+    joined = run_cli(capsys, *argv, f"{flag}={value}")
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
+def test_a_flag_followed_by_another_flag_still_lacks_its_value(capsys):
+    for argv in (["family", "--l", "5", "--c", "--a1", "1"], ["galois", "--poly", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "-h"])
+    assert exc.value.code == 0
+    assert "--c C" in capsys.readouterr().out
+
+
 def test_polyfam_brumer(capsys):
     code, out = run_cli(capsys, "polyfam", "--family", "brumer", "--s", "0", "--u", "0")
     assert code == 0

@@ -175,6 +175,11 @@ def test_primality_agrees_with_a_sieve_around_the_trial_division_cut():
     assert [is_probable_prime(n) for n in range(limit)] == sieve
 
 
+def test_primes_yields_exactly_the_numbers_the_primality_test_accepts():
+    first = list(itertools.islice(primes(), 2000))
+    assert first == [n for n in range(first[-1] + 1) if is_probable_prime(n)]
+
+
 def test_factor_over_Q_examples():
     fl = factor_over_Q(x ** 4 - 1)
     assert fl.degrees() == (1, 1, 2)

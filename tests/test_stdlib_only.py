@@ -24,3 +24,23 @@ def test_the_library_imports_only_the_standard_library():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+# Cold start: the result records are named tuples, so importing the package
+# and its command line pulls in neither dataclasses (and with it inspect,
+# ast, dis and tokenize) nor typing.
+COLD_START_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import ellquot, ellquot.cli
+print(" ".join(name for name in ("dataclasses", "inspect", "typing") if name in sys.modules))
+"""
+
+
+def test_importing_the_package_and_its_command_line_loads_no_dataclasses_inspect_or_typing():
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START_PROBE, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
