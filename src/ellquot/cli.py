@@ -58,7 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         self.takes_value = {}  # option string -> whether it takes a value
-        super().__init__(*args, **kwargs)
+        # no prefixes of flags, in subcommands too, so the join below sees every flag
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from types import MappingProxyType
 
-from .curves import CurvePoint, WeierstrassCurve, _field_of, kubert_curve
+from .curves import CurvePoint, WeierstrassCurve, _cubic_at, _field_of, kubert_curve
 from .errors import (
     DegenerateParameterError,
     InvariantError,
@@ -123,12 +124,6 @@ def _model_point(l, z, *params):
     """(x, y_b) = (X/s^2, z G/s^3) of _point(l, *params) for z^2 = A."""
     _, X, s, _, G = _point(l, *params)
     return X / (s * s), z * G / s ** 3
-
-
-def _cubic_at(cubic, x, w=1):
-    """w^3 f(x/w) for f(x) = 4x^3 + b2 x^2 + 2b4 x + b6, cubic = (b2, 2b4, b6)."""
-    b2, b4x2, b6 = cubic
-    return ((4 * x + b2 * w) * x + b4x2 * w * w) * x + b6 * w ** 3
 
 
 class QuotientModel(namedtuple("QuotientModel", "l parameter isogeny curve scale shift twisted")):
@@ -298,8 +293,8 @@ CONSTRUCTION_PARAMETERS = {
 class ConstructionInput(namedtuple("ConstructionInput", "l row params as_printed")):
     """Free parameters selecting one constructed point.
 
-    They are checked against CONSTRUCTION_PARAMETERS once, here, and kept in
-    the table's order; as_printed is valid at (l, row) = (5, 1) only.
+    They are checked against CONSTRUCTION_PARAMETERS once, here, and kept
+    read-only in the table's order; as_printed is valid at (l, row) = (5, 1) only.
     """
 
     __slots__ = ()
@@ -312,12 +307,17 @@ class ConstructionInput(namedtuple("ConstructionInput", "l row params as_printed
             raise ValueError(f"no (l, row) = {key} in {CONSTRUCTION_PARAMETERS}")
         _check_as_printed(l, row, as_printed)
         check_parameters(f"the (l, row) = {key} construction", names, params)
-        return super().__new__(cls, l, row, {k: QQ(params[k]) for k in names}, as_printed)
+        params = MappingProxyType({k: QQ(params[k]) for k in names})
+        return super().__new__(cls, l, row, params, as_printed)
 
     @classmethod
     def _make(cls, iterable):
         # _replace builds through _make: check the replaced fields here too
         return cls(*iterable)
+
+    def __getnewargs__(self):
+        # a mapping proxy does not pickle; unpickling checks the plain dict again
+        return (self.l, self.row, dict(self.params), self.as_printed)
 
 
 class NontrivialPointCertificate(

@@ -8,11 +8,12 @@ has exact order l, checked at construction time by the group law itself.
 A point is checked against the curve equation once, where it enters the
 group law: add (both points), neg, scalar_mul, order_of_point (and through it
 is_infinite_order and kubert_curve's order walk), b_point and from_b_point
-raise OffCurveError for a point off the curve.  The loops of scalar_mul and
-order_of_point, the Velu kernel walk, push_point's kernel sums and the
-cyclic-fiber translate of the constructions add through the unchecked _add
-(and scalar_mul negates through _neg): the sum of two points on the curve is
-on the curve, so a point built from checked points needs no check of its own.
+raise OffCurveError for a point off the curve.  The loop of scalar_mul, the
+one walk over a point's multiples (_multiples, behind order_of_point and the
+Velu kernel), push_point's kernel sums and the cyclic-fiber translate of the
+constructions add through the unchecked _add (and scalar_mul negates through
+_neg): the sum of two points on the curve is on the curve, so a point built
+from checked points needs no check of its own.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ INFINITY = CurvePoint(True)
 
 BForm = namedtuple("BForm", "b2 b4 b6 b8")
 BForm.__doc__ = "Invariants of the model y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."
+
+
+def _cubic_at(cubic, x, w=1):
+    """w^3 f(x/w) for f(x) = 4x^3 + b2 x^2 + 2b4 x + b6, cubic = (b2, 2b4, b6)."""
+    b2, b4x2, b6 = cubic
+    return ((4 * x + b2 * w) * x + b4x2 * w * w) * x + b6 * w ** 3
 
 
 class WeierstrassCurve:
@@ -164,12 +171,22 @@ class WeierstrassCurve:
         if bound < 1:
             raise ValueError("bound must be >= 1")
         self._require(P)
+        multiples = self._multiples(P, bound)
+        return None if multiples is None else len(multiples) + 1
+
+    def _multiples(self, P: CurvePoint, bound: int):
+        """[P, 2P, ..., (k-1)P] for the least k <= bound with k*P = O, else None.
+
+        Unchecked like _add; at most bound - 1 additions, as bound*P is the last read.
+        """
+        multiples = []
         acc = P
-        for k in range(1, bound + 1):
+        for _ in range(bound - 1):
             if acc.inf:
-                return k
+                return multiples
+            multiples.append(acc)
             acc = self._add(acc, P)
-        return None
+        return multiples if acc.inf else None
 
     def is_infinite_order(self, P: CurvePoint) -> bool:
         """Proof-grade infinite-order test for rational points over Q.
@@ -201,10 +218,9 @@ class WeierstrassCurve:
         return P
 
     def b_rhs(self, x):
-        """4x^3 + b2 x^2 + 2 b4 x + b6 at x."""
+        """4x^3 + b2 x^2 + 2 b4 x + b6 at x, through the shared _cubic_at."""
         b = self.b_form()
-        x = self.field(x)
-        return 4 * x ** 3 + b.b2 * x * x + 2 * b.b4 * x + b.b6
+        return _cubic_at((b.b2, 2 * b.b4, b.b6), self.field(x))
 
     def translated(self, r) -> "WeierstrassCurve":
         """The same curve in coordinates x' = x - r (so x = x' + r)."""

@@ -51,16 +51,8 @@ PRIMALITY_BOUND = 3317044064679887385961981
 
 
 def primes():
-    """Prime generator by trial division up to the square root; small needs only."""
-    yield 2
-    found = []
-    k = 0  # found[:k] holds the odd primes p with p * p <= n
-    for n in itertools.count(3, 2):
-        while k < len(found) and found[k] * found[k] <= n:
-            k += 1
-        if all(n % p for p in itertools.islice(found, k)):
-            found.append(n)
-            yield n
+    """The primes in increasing order: the integers is_probable_prime accepts."""
+    return filter(is_probable_prime, itertools.count(2))
 
 
 def is_probable_prime(n: int) -> bool:
@@ -259,13 +251,6 @@ class FactorList(namedtuple("FactorList", "unit factors")):
     """A factorization over Q: unit * prod(factor^multiplicity) is the input."""
 
     __slots__ = ()
-
-    def expand(self) -> UniPoly:
-        var = self.factors[0][0].var if self.factors else "x"
-        out = UniPoly.constant(QQ, self.unit, var)
-        for f, m in self.factors:
-            out = out * f ** m
-        return out
 
     def degrees(self):
         """Multiset of factor degrees, counting multiplicity."""

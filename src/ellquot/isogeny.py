@@ -85,8 +85,8 @@ def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData
     """Quotient isogeny of degree l with kernel generated by A.
 
     A must have exact order l on the curve: it is checked on the curve once,
-    and the walk over its multiples that collects the kernel, which adds
-    without checks, is also the order check.  The x-map num/den starts at x/1
+    and the curve's walk over its multiples (_multiples, up to lA) that
+    collects the kernel is also the order check.  The x-map num/den starts at x/1
     and each representative Q adds t_Q/(x - x_Q), then u_Q/(x - x_Q)^2 unless
     Q is the 2-torsion point.  It is reduced without a gcd, as the module
     docstring argues: num(x_Q) is u_Q (t_Q at the 2-torsion point) times
@@ -96,13 +96,9 @@ def velu_quotient(curve: WeierstrassCurve, A: CurvePoint, l: int) -> IsogenyData
     if A.inf:
         raise TorsionOrderError("the kernel generator cannot be infinity")
     curve._require(A)
-    kernel = []
-    acc = A
-    while not acc.inf and len(kernel) < l:
-        kernel.append(acc)
-        acc = curve._add(acc, A)
-    if len(kernel) != l - 1:
-        order = len(kernel) + 1 if acc.inf else f"above {l}"
+    kernel = curve._multiples(A, l)
+    if kernel is None or len(kernel) != l - 1:
+        order = f"above {l}" if kernel is None else len(kernel) + 1
         raise TorsionOrderError(f"kernel generator has order {order}, expected {l}")
     F = curve.field
     a1, a2, a3, a4, a6 = curve.a_invariants()

@@ -193,6 +193,17 @@ def ac5(seed, certificates_out):
     return all_pass, detail
 
 
+def _screen(f, square_discriminant, prime_budget):
+    """(None, the Frobenius histogram) for f irreducible over Q, with a square
+    discriminant when square_discriminant is set; else (the failed check, None)."""
+    fl = factor_over_Q(f)
+    if not fl.is_irreducible:
+        return f"splits {fl.degrees()}", None
+    if square_discriminant and not is_square(discriminant(f)):
+        return "discriminant not square", None
+    return None, frobenius_patterns(f, prime_budget)
+
+
 def ac6(certificates, prime_budget=DEFAULT_PRIME_BUDGET):
     """Fiber irreducibility and cyclic Frobenius patterns per valid certificate.
 
@@ -214,14 +225,10 @@ def ac6(certificates, prime_budget=DEFAULT_PRIME_BUDGET):
         failures = []
         long_cycle_missing = 0
         for cert in certs:
-            fl = factor_over_Q(cert.fiber.poly)
-            if not fl.is_irreducible:
-                failures.append((str(cert.params), f"fiber splits {fl.degrees()}"))
+            why, hist = _screen(cert.fiber.poly, l % 2 == 1, prime_budget)
+            if why:
+                failures.append((str(cert.params), f"fiber {why}"))
                 continue
-            if l % 2 == 1 and not is_square(discriminant(cert.fiber.poly)):
-                failures.append((str(cert.params), "fiber discriminant not square"))
-                continue
-            hist = frobenius_patterns(cert.fiber.poly, prime_budget)
             if not set(hist) <= CYCLIC_PATTERNS[l]:
                 failures.append((str(cert.params), f"non-cyclic pattern {set(hist) - CYCLIC_PATTERNS[l]}"))
                 continue
@@ -295,16 +302,10 @@ def ac11(seed, prime_budget=DEFAULT_PRIME_BUDGET):
     for _ in range(20):
         n = _rnd(rng, lo=-99, hi=99, dmax=9)
         c = _rnd(rng, lo=-99, hi=99, dmax=9, exclude=(0,))
-        f = p_ncl5(n, c).poly
-        fl = factor_over_Q(f)
-        if not fl.is_irreducible:
-            exceptions.append((str(n), str(c), f"reducible {fl.degrees()}"))
+        why, hist = _screen(p_ncl5(n, c).poly, True, prime_budget)
+        if why:
+            exceptions.append((str(n), str(c), why))
             continue
-        d = discriminant(f)
-        if not is_square(d):
-            exceptions.append((str(n), str(c), "disc not a square"))
-            continue
-        hist = frobenius_patterns(f, prime_budget)
         if (1, 2, 2) not in hist:
             exceptions.append((str(n), str(c), f"no (1,2,2) pattern in {prime_budget} primes"))
     ok = len(exceptions) <= 2

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: the resultant oracle
 builds the Sylvester matrix and expands its determinant by cofactors, the
-naive root search scans divisor candidates directly, and the JSON decoders
-read back what jsonio's encoders write (the library itself reads no JSON).
+naive root search scans divisor candidates directly, a factorization is
+multiplied back out factor by factor, and the JSON decoders read back what
+jsonio's encoders write (the library itself reads no JSON).
 """
 
 import math
@@ -86,6 +87,15 @@ def naive_rational_roots(f):
             out.append(r)
             val = q
     return sorted(out)
+
+
+def expand_factors(fl) -> UniPoly:
+    """unit * prod(f^m) of a FactorList, the polynomial it factors."""
+    var = fl.factors[0][0].var if fl.factors else "x"
+    out = UniPoly.constant(QQ, fl.unit, var)
+    for f, m in fl.factors:
+        out = out * f ** m
+    return out
 
 
 def rational_from_json(pair) -> Fraction:

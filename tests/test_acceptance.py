@@ -119,6 +119,21 @@ def test_ac11_reports_its_prime_budget(monkeypatch):
     assert "60 primes" not in detail
 
 
+def test_the_battery_screen_checks_irreducibility_then_the_discriminant():
+    from ellquot import QQ, UniPoly, verify
+
+    x = UniPoly.gen(QQ)
+    assert verify._screen((x ** 2 - 2) * (x ** 3 - 2), False, 20) == ("splits (2, 3)", None)
+    s5 = x ** 5 - x - 1
+    assert verify._screen(s5, True, 20) == ("discriminant not square", None)
+    why, hist = verify._screen(s5, False, 20)
+    assert why is None and (5,) in hist
+    # seed 38 draws one reducible quintic, which AC-11 lists and forgives
+    passed, detail = verify.ac11(38, prime_budget=20)
+    assert passed
+    assert detail.endswith("19/20 dihedral-consistent; exceptions: [('10/9', '-4/9', 'splits (1, 2, 2)')]")
+
+
 def test_ac12_runtime(battery):
     _criterion(battery, "AC-12")
 

@@ -206,6 +206,23 @@ def test_a_flag_followed_by_another_flag_still_lacks_its_value(capsys):
     assert "--c C" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["galois", "--pol", "-x^3+2"],
+        ["galois", "--pol", "x^3-2"],
+        ["quotient", "--l", "5", "--c", "1", "--symb"],
+        ["construct", "--l", "5", "--row", "1", "--z", "1", "--as-p"],
+        ["verify-paper", "--prime", "60"],
+    ],
+)
+def test_an_abbreviated_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_polyfam_brumer(capsys):
     code, out = run_cli(capsys, "polyfam", "--family", "brumer", "--s", "0", "--u", "0")
     assert code == 0

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from ellquot import (
+    ConstructionInput,
     CurvePoint,
     DegenerateParameterError,
     EllquotError,
@@ -21,6 +22,7 @@ from ellquot import (
     TorsionOrderError,
     UniPoly,
     WeierstrassCurve,
+    certify,
     factor_over_Q,
     fiber_polynomial,
     has_rational_preimage,
@@ -31,6 +33,7 @@ from ellquot import (
     rational_sqrt,
     velu_quotient,
 )
+from ellquot.curves import MAZUR_TORSION_BOUND
 
 
 def small_rational_points(curve, bound=20):
@@ -67,24 +70,55 @@ def test_velu_requires_exact_order(adds):
         velu_quotient(curve, INFINITY, 5)
     with pytest.raises(TorsionOrderError, match="order above 3"):
         velu_quotient(curve, A, 3)
-    # (0, 0) on y^2 + y = x^3 + x has infinite order; the walk stops after l steps
+    # (0, 0) on y^2 + y = x^3 + x has infinite order; the walk stops at lP,
+    # after l - 1 additions
     generic = WeierstrassCurve(QQ, 0, 0, 1, 1, 0)
     P = CurvePoint.affine(Fraction(0), Fraction(0))
     assert generic.is_infinite_order(P)
     adds.clear()
     with pytest.raises(TorsionOrderError, match="order above 5"):
         velu_quotient(generic, P, 5)
-    assert len(adds) == 5
+    assert len(adds) == 4
 
 
 def test_velu_walks_the_kernel_once(adds):
-    curves = [(kubert_curve(3, 0, 6), 3)]
-    curves += [(kubert_curve(l, Fraction(2)), l) for l in (4, 5, 6, 7, 9, 10)]
-    for (curve, A), l in curves:
+    # kubert_curve's order walk and the Velu kernel walk each stop at lA
+    c = FunctionField("c").gen
+    cases = [((3, 0, 6), 3)] + [((l, Fraction(2)), l) for l in (4, 5, 6, 7, 9, 10)]
+    cases += [((l, c), l) for l in (4, 5, 6)]
+    for params, l in cases:
+        adds.clear()
+        curve, A = kubert_curve(*params)
+        assert len(adds) == l - 1, params
         adds.clear()
         isog = velu_quotient(curve, A, l)
-        assert len(adds) == l - 1, l
+        assert len(adds) == l - 1, params
         assert len(isog.kernel_points) == l - 1
+
+
+def test_is_infinite_order_reads_twelve_multiples_in_eleven_additions(adds):
+    generic = WeierstrassCurve(QQ, 0, 0, 1, 1, 0)
+    cert = certify(ConstructionInput(5, row=1, params={"z": 2}))
+    for curve, P in ((generic, CurvePoint.affine(Fraction(0), Fraction(0))), (cert.curve_F, cert.point)):
+        adds.clear()
+        assert curve.is_infinite_order(P)
+        assert len(adds) == MAZUR_TORSION_BOUND - 1
+
+
+def test_the_walk_stops_at_its_bound_on_the_order_12_point(adds):
+    curve, A = kubert_curve(12, Fraction(2))
+    adds.clear()
+    assert curve.order_of_point(A, 12) == 12
+    assert len(adds) == 11
+    adds.clear()
+    assert curve.order_of_point(A, 11) is None
+    assert len(adds) == 10
+    assert not curve.is_infinite_order(A)
+    with pytest.raises(TorsionOrderError, match=r"^kernel generator has order above 11, expected 11$"):
+        velu_quotient(curve, A, 11)
+    with pytest.raises(TorsionOrderError, match=r"^kernel generator has order 12, expected 13$"):
+        velu_quotient(curve, A, 13)
+    assert len(velu_quotient(curve, A, 12).kernel_points) == 11
 
 
 def test_the_isogeny_entry_points_reject_off_curve_points():

@@ -128,10 +128,17 @@ def test_construction_input_and_certificate_survive_pickling():
     assert pickle.loads(pickle.dumps(isog)) == isog
 
 
-def test_unpickling_a_construction_input_checks_it_again():
+def test_the_params_of_a_construction_input_are_read_only():
     inp = ConstructionInput(5, row=1, params={"z": 2})
-    inp.params["t"] = Fraction(1)  # the dict inside is not frozen
-    data = pickle.dumps(inp)
+    with pytest.raises(TypeError):
+        inp.params["t"] = 7
+    assert inp.params == {"z": Fraction(2)}
+
+
+def test_unpickling_a_construction_input_checks_it_again():
+    # a record built past __new__, so its params were never checked
+    tampered = tuple.__new__(ConstructionInput, (5, 1, {"z": Fraction(2), "t": Fraction(1)}, False))
+    data = pickle.dumps(tampered)
     with pytest.raises(ValueError, match="unexpected"):
         pickle.loads(data)
 
