@@ -20,7 +20,7 @@ from .curves import KUBERT_PARAMETERS, kubert_curve
 from .errors import EllquotError, check_parameters
 from .families import FAMILIES, family_polynomial
 from .funcfield import FunctionField
-from .galois import DEFAULT_PRIME_BUDGET, galois_group
+from .galois import DEFAULT_PRIME_BUDGET, MAX_PRIME_BUDGET, MIN_PRIME_BUDGET, galois_group
 from .isogeny import velu_quotient
 from .jsonio import (
     MAX_POLY_TEXT,
@@ -127,7 +127,9 @@ def build_parser() -> _Parser:
                      " each coefficient as a rational flag, in parentheses when signed")
     gal.add_argument("--family", choices=sorted(FAMILIES))
     _add_rational_flags(gal, FAMILY_FLAGS)
-    gal.add_argument("--primes", type=int, default=DEFAULT_PRIME_BUDGET)
+    gal.add_argument("--primes", type=int, default=DEFAULT_PRIME_BUDGET,
+                     help=f"primes sampled for an irreducible quintic or sextic, {MIN_PRIME_BUDGET}"
+                     f" to {MAX_PRIME_BUDGET} (default %(default)s); exact verdicts sample none")
 
     pf = sub.add_parser("polyfam", help="closed-form family polynomial")
     pf.add_argument("--family", required=True, choices=sorted(FAMILIES))

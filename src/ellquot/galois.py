@@ -1,11 +1,12 @@
 """Galois group determination for degrees 3 to 6 with honest certainty labels.
 
-Degree 3 and 4 verdicts are exact (discriminant, resolvent cubic and the
-quadratic splitting criteria).  Degree 5 and 6 labels come from Frobenius
-pattern sampling: the smallest group consistent with the samples, reported
-as sampled evidence.  cyclic_from_fiber alone reports C5 and C6 as exact,
-because the polynomial is then the fiber below a certified non-trivial
-quotient-curve point.
+A reducible input is labelled "other" by factor_over_Q, and degree 3 and 4
+verdicts are exact (discriminant, resolvent cubic and the quadratic
+splitting criteria); none of these samples a prime.  Only an irreducible
+quintic or sextic is labelled from Frobenius pattern sampling: the smallest
+group consistent with the samples, reported as sampled evidence.
+cyclic_from_fiber alone reports C5 and C6 as exact, because the polynomial
+is then the fiber below a certified non-trivial quotient-curve point.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ CYCLIC_PATTERNS = {
 
 class GaloisReport(namedtuple("GaloisReport", "degree irreducible disc disc_is_square group_label"
                               " certainty primes_used pattern_histogram", defaults=(None,))):
-    """The group label of a polynomial, its certainty and the sampling behind it."""
+    """The group label of a polynomial, its certainty and the sampling behind it.
+
+    primes_used is the number of good primes sampled and pattern_histogram
+    counts their factor-degree patterns.  Only a sampled label (an
+    irreducible quintic or sextic) rests on them; an exact verdict samples
+    nothing and reports 0 and {}.
+    """
 
     __slots__ = ()
 
@@ -52,12 +59,13 @@ def check_prime_budget(prime_budget, minimum=1):
         )
 
 
-def _sample(f: UniPoly, prime_budget):
-    """(unit, disc f_Z, histogram) for f = unit * f_Z, f_Z primitive in Z[x].
+def _squarefree_model(f: UniPoly):
+    """(unit, f_Z, disc f_Z, bad) for f = unit * f_Z, f_Z primitive in Z[x].
 
     The discriminant of the integer model is computed once: it decides
     squarefreeness (disc f_Z != 0), gives disc f = unit^(2n-2) * disc f_Z,
-    and names the bad primes skipped by the sampling.
+    and with the leading coefficient names the bad primes, the prime
+    factors of bad = lc(f_Z) * |disc f_Z|, that the sampling skips.
     """
     if f.field != QQ:
         raise ValueError("Galois sampling needs rational coefficients")
@@ -66,7 +74,12 @@ def _sample(f: UniPoly, prime_budget):
     d = discriminant(fz)
     if d == 0:
         raise ValueError("polynomial must be squarefree")
-    bad = ints[-1] * abs(d.numerator)
+    return unit, fz, d, ints[-1] * abs(d.numerator)
+
+
+def _sample(fz: UniPoly, bad, prime_budget):
+    """Histogram of the factor-degree patterns of fz mod p at the first
+    prime_budget primes that do not divide bad."""
     histogram = {}
     used = 0
     for p in primes():
@@ -77,7 +90,7 @@ def _sample(f: UniPoly, prime_budget):
         pattern = tuple(sorted(len(g) - 1 for g, m in factor_mod_p(fz, p) for _ in range(m)))
         histogram[pattern] = histogram.get(pattern, 0) + 1
         used += 1
-    return unit, d, histogram
+    return histogram
 
 
 def frobenius_patterns(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET):
@@ -88,22 +101,26 @@ def frobenius_patterns(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET):
     prime_budget must lie between 1 and MAX_PRIME_BUDGET.
     """
     check_prime_budget(prime_budget)
-    return _sample(f, prime_budget)[2]
+    _, fz, _, bad = _squarefree_model(f)
+    return _sample(fz, bad, prime_budget)
 
 
 def galois_group(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> GaloisReport:
     """Galois group of a squarefree polynomial of degree 3..6 over Q.
 
-    prime_budget must lie between MIN_PRIME_BUDGET and MAX_PRIME_BUDGET.
+    prime_budget must lie between MIN_PRIME_BUDGET and MAX_PRIME_BUDGET; it
+    is spent only on an irreducible quintic or sextic, whose label rests on
+    the samples.
     """
     check_prime_budget(prime_budget, MIN_PRIME_BUDGET)
     n = f.degree
     if not 3 <= n <= 6:
         raise ValueError(f"degree must be 3..6, got {n}")
-    unit, disc_z, histogram = _sample(f, prime_budget)
+    unit, fz, disc_z, bad = _squarefree_model(f)
     disc = unit ** (2 * n - 2) * disc_z
     irreducible = factor_over_Q(f).is_irreducible
     square = is_square(disc)
+    histogram = {}
 
     if not irreducible:
         label, certainty = "other", "exact"
@@ -111,10 +128,9 @@ def galois_group(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> Galois
         label, certainty = ("C3" if square else "S3"), "exact"
     elif n == 4:
         label, certainty = _quartic_group(f.monic(), disc, square), "exact"
-    elif n == 5:
-        label, certainty = _quintic_group(histogram, square)
     else:
-        label, certainty = _sextic_group(histogram)
+        histogram = _sample(fz, bad, prime_budget)
+        label, certainty = _quintic_group(histogram, square) if n == 5 else _sextic_group(histogram)
     return GaloisReport(
         degree=n,
         irreducible=irreducible,
@@ -179,13 +195,14 @@ def _sextic_group(histogram):
 def cyclic_from_fiber(cert):
     """(FamilyPolynomial, GaloisReport) for the fiber below a certified point.
 
-    `cert` comes from `certify` and must be valid; the report samples
-    DEFAULT_PRIME_BUDGET primes.  For l = 3, 5, 6 the fiber is then an
-    irreducible degree-l polynomial whose Galois group is cyclic of order l,
-    the construction itself serving as the exactness source for l = 5, 6.
-    The published l = 4 model is a quadratic twist of the quotient and its
-    fibers split; the report then states the splitting instead (the cyclic
-    quartics of this circle of ideas are the Gras resultant family).
+    `cert` comes from `certify` and must be valid.  For l = 3, 5, 6 the
+    fiber is then an irreducible degree-l polynomial whose Galois group is
+    cyclic of order l, the construction itself serving as the exactness
+    source for l = 5, 6; those reports sample DEFAULT_PRIME_BUDGET primes,
+    and the l = 3 cubic none.  The published l = 4 model is a quadratic
+    twist of the quotient and its fibers split; the report then states the
+    splitting instead and samples nothing (the cyclic quartics of this
+    circle of ideas are the Gras resultant family).
     """
     if not cert.valid:
         raise ValueError(

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from ellquot import (
     ConstructionInput,
     QQ,
+    FunctionField,
     UniPoly,
     certify,
     cyclic_from_fiber,
@@ -14,9 +16,11 @@ from ellquot import (
     p_ncl5,
     shanks_cubic,
 )
-from ellquot.factor import factor_over_Q
+from ellquot import galois
+from ellquot.factor import factor_mod_p, factor_over_Q
 from ellquot.fields import is_square
-from ellquot.galois import MAX_PRIME_BUDGET, MIN_PRIME_BUDGET
+from ellquot.galois import DEFAULT_PRIME_BUDGET, MAX_PRIME_BUDGET, MIN_PRIME_BUDGET
+from ellquot.jsonio import galois_report_to_json
 from ellquot.poly import discriminant
 
 x = UniPoly.gen(QQ)
@@ -89,7 +93,8 @@ def test_prime_budget_minimum():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="below the minimum of 1"):
             frobenius_patterns(x ** 2 + 1, budget)
-    assert galois_group(shanks_cubic(1).poly, MIN_PRIME_BUDGET).primes_used == MIN_PRIME_BUDGET
+    # an exact cubic samples nothing, so the minimum is shown on a sampled quintic
+    assert galois_group(p_ncl5(1, 2).poly, MIN_PRIME_BUDGET).primes_used == MIN_PRIME_BUDGET
 
 
 def test_prime_budget_above_the_cap_is_rejected():
@@ -193,3 +198,83 @@ def test_one_discriminant_and_no_gcd_per_report(monkeypatch):
         rep = galois_group(f)
         assert calls == {"resultant": 1, "gcd": 0}, (f, calls)
         assert rep.disc == discriminant(f)
+
+
+def _count_samples(monkeypatch):
+    """The primes galois.py factors modulo, appended as it samples them."""
+    primes = []
+
+    def counting(f, p):
+        primes.append(p)
+        return factor_mod_p(f, p)
+
+    monkeypatch.setattr(galois, "factor_mod_p", counting)
+    return primes
+
+
+def _fiber_l4():
+    return cyclic_from_fiber(certify(ConstructionInput(4, params={"u": 1, "v": 1})))[1]
+
+
+@pytest.mark.parametrize("report", [
+    lambda: galois_group(shanks_cubic(2).poly),
+    lambda: galois_group(x ** 3 - 2),
+    lambda: galois_group(x ** 4 - 2),
+    lambda: galois_group((x ** 2 + 1) * (x ** 3 - 2)),
+    lambda: galois_group((x ** 2 + 1) * (x ** 4 - 2)),
+    _fiber_l4,
+], ids=["C3 cubic", "S3 cubic", "quartic", "reducible quintic", "reducible sextic", "fiber l=4"])
+def test_an_exact_verdict_samples_no_prime(monkeypatch, report):
+    primes = _count_samples(monkeypatch)
+    rep = report()
+    assert rep.certainty == "exact"
+    assert primes == []
+    assert (rep.primes_used, rep.pattern_histogram) == (0, {})
+    obj = json.loads(json.dumps(galois_report_to_json(rep)))
+    assert (obj["primes_used"], obj["pattern_histogram"]) == (0, {})
+
+
+@pytest.mark.parametrize("f", [p_ncl5(1, 2).poly, x ** 5 - x - 1, x ** 6 + x + 1],
+                         ids=["D5 quintic", "S5 quintic", "sextic"])
+@pytest.mark.parametrize("budget", [MIN_PRIME_BUDGET, DEFAULT_PRIME_BUDGET])
+def test_an_irreducible_quintic_or_sextic_samples_its_whole_budget(monkeypatch, f, budget):
+    primes = _count_samples(monkeypatch)
+    rep = galois_group(f, budget)
+    assert rep.irreducible and rep.certainty == "sampled"
+    assert len(primes) == len(set(primes)) == budget
+    assert rep.primes_used == sum(rep.pattern_histogram.values()) == budget
+
+
+def _refuse_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(galois, "factor_mod_p", no_work)
+    monkeypatch.setattr(galois, "factor_over_Q", no_work)
+
+
+@pytest.mark.parametrize("budget", [MIN_PRIME_BUDGET - 1, MAX_PRIME_BUDGET + 1])
+def test_a_budget_out_of_range_is_refused_before_any_work_even_for_a_cubic(monkeypatch, budget):
+    _refuse_work(monkeypatch)
+    with pytest.raises(ValueError, match="minimum|cap"):
+        galois_group(shanks_cubic(1).poly, budget)
+
+
+def test_a_polynomial_over_Q_c_is_refused_before_any_work(monkeypatch):
+    _refuse_work(monkeypatch)
+    Fc = FunctionField("c")
+    c, X = Fc.gen, UniPoly.gen(Fc)
+    f = X ** 3 - c * X + 1
+    with pytest.raises(ValueError, match="rational coefficients"):
+        galois_group(f)
+    with pytest.raises(ValueError, match="rational coefficients"):
+        frobenius_patterns(f, 5)
+
+
+def test_a_polynomial_that_is_not_squarefree_is_refused_before_any_work(monkeypatch):
+    _refuse_work(monkeypatch)
+    for f in ((x + 1) ** 2 * (x + 2), (x ** 2 + 1) ** 2 * (x - 3), (x ** 3 - 2) ** 2):
+        with pytest.raises(ValueError, match="squarefree"):
+            galois_group(f)
+        with pytest.raises(ValueError, match="squarefree"):
+            frobenius_patterns(f, 5)

@@ -12,6 +12,7 @@ from ellquot import (
     certify,
     galois_group,
     kubert_curve,
+    p_ncl5,
     shanks_cubic,
     velu_quotient,
 )
@@ -268,4 +269,9 @@ def test_galois_report_payload():
     obj = json.loads(json.dumps(galois_report_to_json(rep)))
     assert obj["group_label"] == "C3"
     assert obj["certainty"] == "exact"
-    assert all("," in k or k.isdigit() for k in obj["pattern_histogram"])
+    assert (obj["primes_used"], obj["pattern_histogram"]) == (0, {})
+    # a sampled report keys its histogram by comma-joined factor degrees
+    obj = json.loads(json.dumps(galois_report_to_json(galois_group(p_ncl5(1, 2).poly))))
+    assert obj["certainty"] == "sampled" and obj["primes_used"] == 60
+    assert obj["pattern_histogram"] and all("," in k or k.isdigit() for k in obj["pattern_histogram"])
+    assert sum(obj["pattern_histogram"].values()) == 60

@@ -1,4 +1,5 @@
-"""Property tests of the polynomial kernel, the ring Q[x] and the JSON codecs.
+"""Property tests of the polynomial kernel, the ring Q[x], exact Galois labels
+and the JSON codecs.
 
 sympy and tests/oracles.py serve only as independent oracles here; the
 package never imports them.
@@ -16,6 +17,7 @@ from ellquot import (
     UniPoly,
     factor_mod_p,
     factor_over_Q,
+    galois_group,
     kubert_curve,
     rational_roots,
     resultant,
@@ -29,6 +31,7 @@ from ellquot.jsonio import (
     poly_to_ascii,
     poly_to_json,
 )
+from ellquot.poly import discriminant
 from oracles import (
     curve_from_json,
     expand_factors,
@@ -210,6 +213,39 @@ def test_ascii_form_round_trips(f):
 
 
 integer_polys = polys(0, 4, st.integers(-9, 9).map(Fraction))
+
+
+@st.composite
+def exactly_labelled_polys(draw):
+    """Squarefree integer cubics and quartics, and products of two coprime
+    integer factors of total degree 5 or 6: inputs whose label is exact."""
+    coeffs = st.integers(-12, 12).map(Fraction)
+    if draw(st.booleans()):
+        f = draw(polys(3, 4, coeffs))
+    else:
+        g = draw(polys(1, 3, coeffs))
+        f = g * draw(polys(max(1, 5 - g.degree), 6 - g.degree, coeffs))
+    assume(discriminant(f) != 0)
+    return f
+
+
+def _sympy_label(f):
+    """ellquot's label for f, named by sympy (as bench/test_bench.py maps it)."""
+    from sympy.polys.numberfields.galoisgroups import galois_group as sympy_galois_group
+
+    poly = _to_sympy(f)
+    if not poly.is_irreducible:
+        return "other"
+    name = sympy_galois_group(poly, by_name=True)[0].name
+    return {"A3": "C3", "V": "V4"}.get(name, name)
+
+
+@SETTINGS
+@given(exactly_labelled_polys())
+def test_exact_galois_labels_agree_with_sympy_and_sample_nothing(f):
+    rep = galois_group(f)
+    assert (rep.group_label, rep.certainty) == (_sympy_label(f), "exact")
+    assert (rep.primes_used, rep.pattern_histogram) == (0, {})
 
 
 @SETTINGS
