@@ -1,11 +1,14 @@
 """Polynomial factorization modulo a prime p and over Q, plus rational roots.
 
 This module holds the algorithms only; all coefficient arithmetic runs on the
-integer-list kernel in ``intpoly``.  Modulo p: squarefree decomposition,
-distinct-degree and equal-degree (Rabin 1980, "Probabilistic algorithms in
-finite fields"; Cantor-Zassenhaus) splitting, with factors returned as tuples
-of ints.  Each squarefree part f takes one modular power, the Euler power
-s = x^(p//2) mod f, and uses it twice:
+integer-list kernel in ``intpoly``.  Modulo p: distinct-degree and
+equal-degree (Rabin 1980, "Probabilistic algorithms in finite fields";
+Cantor-Zassenhaus) splitting, with factors returned as tuples of ints.  There
+is no squarefree stage: x^(p^d) - x is squarefree, so distinct-degree
+splitting strips repeated factors itself and counts their multiplicities
+(von zur Gathen & Gerhard, "Modern Computer Algebra", 14.2).  Each polynomial
+f takes one modular power, the Euler power s = x^(p//2) mod f, and uses it
+twice:
 
 - x^p = s^2 * x^(p mod 2) gives the Frobenius matrix, the rows x^(i*p) mod f
   (von zur Gathen & Shoup 1992, "Computing Frobenius maps and factoring
@@ -103,88 +106,68 @@ def _squarefree_primes(f, candidates):
 # Factorization modulo p
 
 
-def _squarefree_mod_p(f, p):
-    """[(g, multiplicity)] with g monic squarefree, product g^m = input (monic)."""
-    f = ip.monic(f, p)
-    out = []
-
-    def recurse(f, mult):
-        df = ip.deriv(f, p)
-        if not df:
-            # f = h(x^p); take the p-th root and recurse with multiplicity * p
-            recurse(f[::p], mult * p)
-            return
-        g = ip.gcd_mod(f, df, p)
-        if len(g) == 1:
-            # already squarefree: always so at a prime not dividing the discriminant
-            out.append((f, mult))
-            return
-        w = ip.divmod_mod(f, g, p)[0]
-        i = 1
-        while len(w) > 1:
-            y = ip.gcd_mod(w, g, p)
-            z = ip.divmod_mod(w, y, p)[0]
-            if len(z) > 1:
-                out.append((z, mult * i))
-            w = y
-            g = ip.divmod_mod(g, y, p)[0]
-            i += 1
-        if len(g) > 1:
-            # the residual is a p-th power; the zero-derivative branch of the
-            # recursion extracts the root and scales the multiplicity
-            recurse(g, mult)
-
-    recurse(f, 1)
-    return out
-
-
 def _distinct_degree(f, p, rows):
-    """[(product of degree-d irreducibles, d)] for monic squarefree f.
+    """[(block, d, k)] for monic f: block is the product of the degree-d
+    irreducibles of multiplicity exactly k in f.
 
     rows = frobenius_rows(f, p).  h = x^(p^d) mod f takes one Frobenius step
     per degree; it stays reduced mod f, which every remaining cofactor divides.
+    x^(p^d) - x is squarefree, so g = gcd(h - x, rest) holds each degree-d
+    irreducible of rest once, whatever its multiplicity; dividing g out of
+    rest layer by layer leaves in gcd(g, rest) those of higher multiplicity.
+    A rest with no factor of degree <= d and of degree below 2(d + 1) is one
+    irreducible of multiplicity 1.
     """
     out = []
     x = [0, 1]
     h = ip.rem(x, f, p)
     d = 0
     rest = f
-    while len(rest) - 1 > 2 * d:
+    while len(rest) - 1 >= 2 * (d + 1):
         d += 1
         h = ip.frobenius(h, rows, p)
         g = ip.gcd_mod(ip.sub(h, x, p), rest, p)
-        if len(g) > 1:
-            out.append((g, d))
+        k = 0
+        while len(g) > 1:
+            k += 1
             rest = ip.divmod_mod(rest, g, p)[0]
+            again = ip.gcd_mod(g, rest, p)
+            if len(again) < len(g):
+                out.append((ip.divmod_mod(g, again, p)[0], d, k))
+            g = again
     if len(rest) > 1:
-        out.append((rest, len(rest) - 1))
+        out.append((rest, len(rest) - 1, 1))
     return out
 
 
-def _norm(h, d, f, p, rows):
-    """h * h^p * ... * h^(p^(d-1)) mod f over GF(p), for h reduced mod the part.
+def _norm(h, d, block, p, rows):
+    """h * h^p * ... * h^(p^(d-1)) mod block over GF(p), for h reduced mod f.
 
-    rows = frobenius_rows(..., part, p) for a squarefree part that f divides;
-    the conjugates h^(p^i) stay reduced mod the part for the Frobenius step,
-    their running product is reduced mod f.  At d = 1 that is h itself.
+    rows = frobenius_rows(..., f, p) for the polynomial f being factored,
+    which block divides; the conjugates h^(p^i) stay reduced mod f for the
+    Frobenius step, their running product is reduced mod block.  At d = 1
+    that is h itself.
     """
     t = conj = h
     for _ in range(d - 1):
         conj = ip.frobenius(conj, rows, p)
-        t = ip.mulmod(t, conj, f, p)
+        t = ip.mulmod(t, conj, block, p)
     return t
 
 
-def _equal_degree(f, d, p, rng, rows):
+def _equal_degree(f, d, p, rows):
     """Split a monic squarefree product f of degree-d irreducibles at random.
 
-    For odd p, h^((p^d - 1)/2) mod f is the ((p - 1)/2)-th power of
+    A block that needs a random split seeds its own random.Random from
+    (p, f), so an irreducible block builds none.  For odd p,
+    h^((p^d - 1)/2) mod f is the ((p - 1)/2)-th power of
     _norm(h, d, f, p, rows).  A root at which h vanishes lands with the
     non-squares, so no separate gcd(h, f) is taken.
     """
     n = len(f) - 1
     if n == d:
         return [f]
+    rng = random.Random(hash((p, tuple(f))))
     while True:
         h = ip.trim([rng.randrange(p) for _ in range(n)], p)
         if len(h) < 2:
@@ -201,13 +184,13 @@ def _equal_degree(f, d, p, rng, rows):
             g = ip.gcd_mod(ip.sub(t, [1], p), f, p)
         if 1 < len(g) < len(f):
             rest = ip.divmod_mod(f, g, p)[0]
-            return _equal_degree(g, d, p, rng, rows) + _equal_degree(rest, d, p, rng, rows)
+            return _equal_degree(g, d, p, rows) + _equal_degree(rest, d, p, rows)
 
 
 def _euler_split(block, d, s, p, rows):
     """[block] or a proper split [g, rest] of a block of degree-d irreducibles.
 
-    For odd p and s = x^((p-1)/2) mod the part, _norm(s, ...) is
+    For odd p and s = x^((p-1)/2) mod f, _norm(s, ...) is
     x^((p^d - 1)/2) mod block: on each root a of the block it reads the
     quadratic character of a in GF(p^d), so g = gcd(it - 1, block) collects
     the factors whose roots are squares.  No power is taken; the split fails
@@ -222,23 +205,20 @@ def _euler_split(block, d, s, p, rows):
 def _factor_mod(f, p):
     """Complete factorization of monic f mod p: [(factor, multiplicity)], sorted.
 
-    One power per squarefree part, s = x^(p//2), gives both x^p = s^2 *
-    x^(p mod 2) for the Frobenius matrix and, for odd p, the first split of
-    every block; the random split handles what is left.
+    One power, s = x^(p//2) mod f, gives both x^p = s^2 * x^(p mod 2) for the
+    Frobenius matrix and, for odd p, the first split of every block; the
+    random split handles what is left.
     """
-    rng = random.Random(hash((p, tuple(f))))
+    s = ip.powmod([0, 1], p // 2, f, p)
+    xp = ip.mulmod(s, s, f, p)
+    if p % 2:
+        xp = ip.mulmod(xp, [0, 1], f, p)
+    rows = ip.frobenius_rows(xp, f, p)
     out = []
-    for part, mult in _squarefree_mod_p(f, p):
-        s = ip.powmod([0, 1], p // 2, part, p)
-        xp = ip.mulmod(s, s, part, p)
-        if p % 2:
-            xp = ip.mulmod(xp, [0, 1], part, p)
-        rows = ip.frobenius_rows(xp, part, p)
-        for block, d in _distinct_degree(part, p, rows):
-            pieces = _euler_split(block, d, s, p, rows) if p > 2 and len(block) - 1 > d else [block]
-            for piece in pieces:
-                for irr in _equal_degree(piece, d, p, rng, rows):
-                    out.append((irr, mult))
+    for block, d, k in _distinct_degree(f, p, rows):
+        pieces = _euler_split(block, d, s, p, rows) if p > 2 and len(block) - 1 > d else [block]
+        for piece in pieces:
+            out.extend((irr, k) for irr in _equal_degree(piece, d, p, rows))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 

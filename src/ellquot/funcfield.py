@@ -124,11 +124,6 @@ class RatFunc:
     def __bool__(self):
         return not self.num.is_zero
 
-    def evaluate(self, value):
-        num = self.num(value)
-        den = self.den(value)
-        return num / den
-
     def __repr__(self):
         if self.is_polynomial:
             return repr(self.num)

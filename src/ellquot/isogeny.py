@@ -60,10 +60,6 @@ class IsogenyData:
     def __eq__(self, other):
         return type(other) is IsogenyData and self._astuple() == other._astuple()
 
-    def x_map(self, x):
-        """Evaluate the x-coordinate map at a field element off the kernel."""
-        return self.phi_x_num(x) / self.phi_x_den(x)
-
     def fiber(self, x) -> UniPoly:
         """Monic phi_x_num - x * phi_x_den: its roots are the x-coordinates mapping to x.
 

@@ -130,6 +130,59 @@ def test_factor_mod_2_splits_blocks_by_the_trace():
     ]
 
 
+@pytest.mark.parametrize(
+    "f, p, expected",
+    [
+        # multiplicities 3 and 6 are multiples of p
+        ((x + 1) ** 3 * (x ** 2 + 1) ** 6 * (x ** 3 + 2 * x + 1), 3,
+         [((1, 1), 3), ((1, 0, 1), 6), ((1, 2, 0, 1), 1)]),
+        # (x^2 + x + 2)^3 = x^6 + x^3 + 2 mod 3, whose derivative is 0
+        (x ** 6 + x ** 3 + 2, 3, [((2, 1, 1), 3)]),
+        # a square and a fourth power mod 2: f' = 0 again
+        (x ** 2 * (x ** 2 + x + 1) ** 4, 2, [((0, 1), 2), ((1, 1, 1), 4)]),
+    ],
+)
+def test_factor_mod_p_counts_multiplicities_that_are_multiples_of_p(f, p, expected):
+    fl = factor_mod_p(f, p)
+    assert fl == expected
+    assert _expand_mod(fl, p) == ip.trim([int(c) for c in f.coeffs], p)
+
+
+def test_distinct_degree_stops_once_the_rest_is_irreducible(monkeypatch):
+    # a rest of degree below 2(d + 1) with no factor of degree <= d is one
+    # irreducible: x^3 - 2 mod 7 needs one Frobenius step, x^5 - x - 1 mod 3 two
+    steps = []
+    frobenius = ip.frobenius
+
+    def counting(h, rows, p):
+        steps.append(p)
+        return frobenius(h, rows, p)
+
+    monkeypatch.setattr(ip, "frobenius", counting)
+    assert factor_mod_p(x ** 3 - 2, 7) == [((5, 0, 0, 1), 1)]
+    assert len(steps) == 1
+    steps.clear()
+    assert factor_mod_p(x ** 5 - x - 1, 3) == [((2, 2, 0, 0, 0, 1), 1)]
+    assert len(steps) == 2
+
+
+def test_only_a_block_that_needs_a_random_split_builds_a_generator(monkeypatch):
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    factor_mod_p(x ** 3 - 2, 7)
+    factor_mod_p(x ** 5 - x - 1, 3)
+    assert built == []
+    # both roots of (x - 1)(x - 4) are squares mod 5, so the Euler split fails
+    assert factor_mod_p((x - 1) * (x - 4), 5) == [((1, 1), 1), ((4, 1), 1)]
+    assert len(built) == 1
+
+
 PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
 
 

@@ -204,7 +204,7 @@ def test_push_agrees_with_x_map():
     isog = velu_quotient(curve, A, 3)
     P = CurvePoint.affine(Fraction(3), Fraction(3))
     image = push_point(isog, P)
-    assert isog.x_map(P.x) == image.x
+    assert isog.phi_x_num(P.x) / isog.phi_x_den(P.x) == image.x
 
 
 def test_fiber_polynomial_structure_and_root_property():
@@ -368,8 +368,11 @@ def symbolic_quotients():
 @SETTINGS
 @given(c0=rationals)
 def test_symbolic_quotient_specialises_to_the_rational_one(symbolic_quotients, c0):
-    def at_c0(f):
-        return UniPoly(QQ, [a.evaluate(c0) for a in f.coeffs])
+    def at_c0(a):
+        return a.num(c0) / a.den(c0)
+
+    def poly_at_c0(f):
+        return UniPoly(QQ, [at_c0(a) for a in f.coeffs])
 
     # l = 8 is the first level whose x-map coefficients are not polynomial in c
     for l, got in symbolic_quotients.items():
@@ -378,9 +381,9 @@ def test_symbolic_quotient_specialises_to_the_rational_one(symbolic_quotients, c
         except EllquotError:
             continue
         want = velu_quotient(curve, A, l)
-        assert at_c0(got.phi_x_num) == want.phi_x_num
-        assert at_c0(got.phi_x_den) == want.phi_x_den
-        codomain = tuple(a.evaluate(c0) for a in got.codomain.a_invariants())
+        assert poly_at_c0(got.phi_x_num) == want.phi_x_num
+        assert poly_at_c0(got.phi_x_den) == want.phi_x_den
+        codomain = tuple(at_c0(a) for a in got.codomain.a_invariants())
         assert codomain == want.codomain.a_invariants()
 
 
