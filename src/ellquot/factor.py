@@ -162,7 +162,8 @@ def _equal_degree(f, d, p, rows):
     (p, f), so an irreducible block builds none.  For odd p,
     h^((p^d - 1)/2) mod f is the ((p - 1)/2)-th power of
     _norm(h, d, f, p, rows).  A root at which h vanishes lands with the
-    non-squares, so no separate gcd(h, f) is taken.
+    non-squares, so no separate gcd(h, f) is taken.  For p = 2 the trace
+    h + h^2 + ... + h^(2^(d-1)) takes its squarings from rows, with no power.
     """
     n = len(f) - 1
     if n == d:
@@ -173,11 +174,11 @@ def _equal_degree(f, d, p, rows):
         if len(h) < 2:
             continue
         if p == 2:
-            # trace map over GF(2^d)
-            t = acc = h
+            # trace map over GF(2^d), its conjugates kept reduced as in _norm
+            t = conj = h
             for _ in range(d - 1):
-                acc = ip.powmod(acc, 2, f, p)
-                t = ip.add(t, acc, p)
+                conj = ip.frobenius(conj, rows, p)
+                t = ip.add(t, conj, p)
             g = ip.gcd_mod(t, f, p)
         else:
             t = ip.powmod(_norm(h, d, f, p, rows), (p - 1) // 2, f, p)

@@ -32,21 +32,16 @@ CYCLIC_PATTERNS = {
 
 
 class GaloisReport(namedtuple("GaloisReport", "degree irreducible disc disc_is_square group_label"
-                              " certainty primes_used pattern_histogram", defaults=(None,))):
+                              " certainty primes_used pattern_histogram")):
     """The group label of a polynomial, its certainty and the sampling behind it.
 
     primes_used is the number of good primes sampled and pattern_histogram
     counts their factor-degree patterns.  Only a sampled label (an
     irreducible quintic or sextic) rests on them; an exact verdict samples
-    nothing and reports 0 and {}.
+    nothing and reports 0 and {}.  Every field is required.
     """
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        # the histogram defaults to a fresh empty dict, never a shared one
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.pattern_histogram is not None else self._replace(pattern_histogram={})
 
 
 def check_prime_budget(prime_budget, minimum=1):

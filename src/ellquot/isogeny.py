@@ -13,7 +13,8 @@ fiber polynomials are canonical.  The fraction is already reduced, so no gcd
 is taken: at a representative T the numerator takes the value u_T (t_T at the
 2-torsion point) times the nonzero product of (x_T - x_R)^e_R over the other
 representatives R, and u_T = g_y(T)^2, t_T = g_x(T) at 2-torsion, are nonzero
-on a nonsingular curve.  velu_quotient checks this nonvanishing at each x_T.
+on a nonsingular curve.  velu_quotient checks this nonvanishing at each x_T
+and returns the isogeny as IsogenyData, a named tuple like every result record.
 Everything runs over Q and symbolically over Q(c).
 """
 
@@ -33,32 +34,11 @@ from .fields import QQ, rational_sqrt
 from .poly import UniPoly
 
 
-class IsogenyData:
-    """A degree-l cyclic isogeny with rational kernel <A>.
+class IsogenyData(namedtuple("IsogenyData", "domain codomain kernel_x phi_x_num phi_x_den degree"
+                             " kernel_points")):
+    """A degree-l cyclic isogeny with rational kernel <A>: its curves, x-map and kernel."""
 
-    Read-only like the named-tuple records, but a slotted class so that it
-    can be weakly referenced.
-    """
-
-    _fields = ("domain", "codomain", "kernel_x", "phi_x_num", "phi_x_den", "degree", "kernel_points")
-    __slots__ = _fields + ("__weakref__",)
-
-    def __init__(self, domain, codomain, kernel_x, phi_x_num, phi_x_den, degree, kernel_points=None):
-        values = (domain, codomain, kernel_x, phi_x_num, phi_x_den, degree, kernel_points or [])
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"IsogenyData is read-only: cannot set {name}")
-
-    def _astuple(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __reduce__(self):
-        return IsogenyData, self._astuple()
-
-    def __eq__(self, other):
-        return type(other) is IsogenyData and self._astuple() == other._astuple()
+    __slots__ = ()
 
     def fiber(self, x) -> UniPoly:
         """Monic phi_x_num - x * phi_x_den: its roots are the x-coordinates mapping to x.

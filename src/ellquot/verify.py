@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 from .constructions import (
+    CONSTRUCTION_PARAMETERS,
     ConstructionInput,
     certify,
     construct_l3,
@@ -84,8 +85,12 @@ def draw_input(l, rng):
     """One admissible ConstructionInput for level l, drawn from the seeded rng.
 
     Draws that violate an exact precondition are resampled.  AC-5 and
-    `ellquot sweep` both draw through this function.
+    `ellquot sweep` both draw through this function.  A level outside
+    CONSTRUCTION_PARAMETERS raises ValueError before any draw.
     """
+    levels = sorted({level for level, _ in CONSTRUCTION_PARAMETERS})
+    if l not in levels:
+        raise ValueError(f"no construction at level l = {l}; the levels are {levels}")
     while True:
         if l == 3:
             p = {

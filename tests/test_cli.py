@@ -43,6 +43,26 @@ def test_family_singular_exits_2(capsys):
     assert json.loads(out)["payload"]["code"] == "singular-curve"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family", "--l", "11", "--c", "2"], "l must be one of"),
+        (["quotient", "--l", "11", "--c", "2"], "l must be one of"),
+        (["quotient", "--l", "3", "--symbolic"],
+         "symbolic mode covers the one-parameter families"),
+        (["galois"], "give exactly one of"),
+        (["galois", "--poly", "x^3 - 2", "--family", "shanks", "--t", "2"],
+         "give exactly one of"),
+    ],
+)
+def test_an_unusable_combination_of_flags_exits_2(capsys, argv, message):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert message in doc["payload"]["message"]
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["family", "--l"])

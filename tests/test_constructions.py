@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import textwrap
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +14,7 @@ from ellquot import (
     DegenerateParameterError,
     FunctionField,
     InvariantError,
+    IsogenyData,
     certify,
     construct_l3,
     construct_l4,
@@ -325,26 +325,33 @@ class TestCertify:
         assert image.x == 7
 
     def test_certificates_keep_no_isogeny_alive(self, monkeypatch):
-        built = []
+        def live_isogenies():
+            gc.collect()
+            return sum(type(obj) is IsogenyData for obj in gc.get_objects())
+
+        degrees = []
         velu_quotient = constructions.velu_quotient
 
-        def spy(*args):
-            isog = velu_quotient(*args)
-            built.append(weakref.ref(isog))
-            return isog
+        def spy(curve, A, l):
+            degrees.append(l)
+            return velu_quotient(curve, A, l)
 
         monkeypatch.setattr(constructions, "velu_quotient", spy)
+        before = live_isogenies()
         certs = [
             certify(ConstructionInput(4, params={"u": 1, "v": 1})),
             certify(ConstructionInput(5, row=1, params={"z": 2})),
             certify(ConstructionInput(6, params={"v0": 1, "z": 16})),
             certify(ConstructionInput(3, params={"a1": 0, "u1": 1, "z": 5})),
         ]
-        gc.collect()
         assert [cert.valid for cert in certs] == [True, True, True, False]
         assert all(cert.fiber is not None for cert in certs)
-        assert len(built) == 4
-        assert [ref() for ref in built] == [None] * 4
+        assert degrees == [4, 5, 6, 3]
+        assert live_isogenies() == before
+        # the scan sees an isogeny that something still holds
+        held = quotient_model(5, Fraction(-1)).isogeny
+        assert live_isogenies() == before + 1
+        assert held.degree == 5
 
     def test_as_printed_row1_off_curve(self):
         cert = certify(ConstructionInput(5, row=1, params={"z": 1}, as_printed=True))
@@ -466,6 +473,17 @@ def test_l3_sweep_all_trivial():
     for _ in range(10):
         cert = certify(draw_input(3, rng))
         assert not cert.valid
+
+
+@pytest.mark.parametrize("l", [2, 7, 11])
+def test_draw_input_refuses_an_unknown_level_before_drawing(l):
+    from ellquot import draw_input
+
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"the levels are \[3, 4, 5, 6\]"):
+        draw_input(l, rng)
+    assert rng.getstate() == state
 
 
 def test_construction_invariants_raise_under_optimisation():

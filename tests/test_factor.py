@@ -183,6 +183,30 @@ def test_only_a_block_that_needs_a_random_split_builds_a_generator(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize(
+    "f, expected",
+    [
+        ((x ** 8 - x) * (x ** 2 + x + 1),
+         [(0, 1), (1, 1), (1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]),
+        ((x ** 4 + x + 1) * (x ** 4 + x ** 3 + 1), [(1, 0, 0, 1, 1), (1, 1, 0, 0, 1)]),
+        (x ** 15 - 1, [(1, 1), (1, 1, 1), (1, 0, 0, 1, 1), (1, 1, 0, 0, 1), (1, 1, 1, 1, 1)]),
+    ],
+)
+def test_the_trace_split_mod_2_squares_with_the_frobenius_rows(monkeypatch, f, expected):
+    # the one power left is x^(p // 2) in _factor_mod; each equal-degree
+    # block of degree d > 1 is split by a trace of d - 1 Frobenius steps
+    powers = []
+    powmod = ip.powmod
+
+    def counting(h, e, mod, p):
+        powers.append(e)
+        return powmod(h, e, mod, p)
+
+    monkeypatch.setattr(ip, "powmod", counting)
+    assert factor_mod_p(f, 2) == [(g, 1) for g in expected]
+    assert powers == [1]
+
+
 PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
 
 

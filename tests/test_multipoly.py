@@ -27,6 +27,14 @@ def test_mixed_variable_sets_rejected():
         a == b
 
 
+def test_a_negative_power_raises_value_error():
+    # with no check, k >>= 1 keeps k = -1 and the power never ends
+    c = MultiPoly.variable("c", ("c",))
+    with pytest.raises(ValueError, match="negative power"):
+        c ** -1
+    assert c ** 0 == MultiPoly.constant(("c",), 1)
+
+
 @SETTINGS
 @given(multipolys, multipolys, multipolys)
 def test_ring_axioms(f, g, h):

@@ -49,6 +49,13 @@ def test_division_by_zero_polynomial():
         x.divmod(UniPoly.zero(QQ))
 
 
+def test_a_negative_power_raises_value_error():
+    # with no check, k >>= 1 keeps k = -1 and the power never ends
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
+    assert x ** 0 == UniPoly.one(QQ)
+
+
 def test_gcd_monic_and_common_factor():
     rng = random.Random(2)
     for _ in range(40):

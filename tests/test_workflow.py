@@ -1,5 +1,6 @@
-"""The CI workflow parses, defines its three jobs, runs tier-1 and holds only
-shell that bash accepts.  PyYAML serves only as a test dependency."""
+"""The CI workflow parses, defines its three jobs, runs tier-1 on Python
+3.10 to 3.13 and holds only shell that bash accepts.  PyYAML serves only as a
+test dependency."""
 
 import subprocess
 from pathlib import Path
@@ -29,6 +30,11 @@ def test_workflow_defines_the_three_jobs_and_its_triggers(workflow):
 
 def test_tier1_job_runs_the_tier1_command(workflow):
     assert any(TIER1 in run for run in _runs(workflow["jobs"]["tier-1"]))
+
+
+def test_tier1_job_runs_on_python_3_10_to_3_13(workflow):
+    matrix = workflow["jobs"]["tier-1"]["strategy"]["matrix"]
+    assert matrix["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
 
 
 def test_every_run_block_passes_bash_syntax_check(workflow):
