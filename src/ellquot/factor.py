@@ -24,6 +24,13 @@ h^((p^d-1)/2) = (h * h^p * ... * h^(p^(d-1)))^((p-1)/2), for p = 2 by the
 trace map.  The factorization mod p is unique and returned sorted, so the
 random choices never show in the output.
 
+Two callers sample Frobenius patterns, the factor degrees mod p.
+galois.frobenius_patterns (the battery's screen) takes them from
+degree_pattern: distinct-degree splitting alone, on the integer model, at a
+prime already proved, with no equal-degree split.  galois.galois_group
+still takes the complete factor_mod_p per sampled prime, because
+bench/test_bench.py pins one such call per prime (ROADMAP item 1).
+
 Over Q: Yun's squarefree decomposition of the primitive integer model,
 factorization modulo a good prime, Hensel lifting past the coefficient bound,
 and subset recombination.
@@ -203,18 +210,26 @@ def _euler_split(block, d, s, p, rows):
     return [block]
 
 
-def _factor_mod(f, p):
-    """Complete factorization of monic f mod p: [(factor, multiplicity)], sorted.
+def _frobenius_matrix(f, p):
+    """(s, rows) for monic f: s = x^(p//2) mod f and rows = frobenius_rows(f, p).
 
-    One power, s = x^(p//2) mod f, gives both x^p = s^2 * x^(p mod 2) for the
-    Frobenius matrix and, for odd p, the first split of every block; the
-    random split handles what is left.
+    The one modular power per polynomial: x^p = s^2 * x^(p mod 2) mod f
+    gives the Frobenius matrix.
     """
     s = ip.powmod([0, 1], p // 2, f, p)
     xp = ip.mulmod(s, s, f, p)
     if p % 2:
         xp = ip.mulmod(xp, [0, 1], f, p)
-    rows = ip.frobenius_rows(xp, f, p)
+    return s, ip.frobenius_rows(xp, f, p)
+
+
+def _factor_mod(f, p):
+    """Complete factorization of monic f mod p: [(factor, multiplicity)], sorted.
+
+    The Euler power s of _frobenius_matrix gives, for odd p, the first split of
+    every block; the random split handles what is left.
+    """
+    s, rows = _frobenius_matrix(f, p)
     out = []
     for block, d, k in _distinct_degree(f, p, rows):
         pieces = _euler_split(block, d, s, p, rows) if p > 2 and len(block) - 1 > d else [block]
@@ -222,6 +237,24 @@ def _factor_mod(f, p):
             out.extend((irr, k) for irr in _equal_degree(piece, d, p, rows))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
+
+
+def degree_pattern(ints, p):
+    """Sorted degrees of the irreducible factors of ints mod p, with multiplicity.
+
+    ints is an integer polynomial of degree >= 1, lowest degree first, whose
+    leading coefficient p does not divide; p is a prime the caller has
+    proved (say, from primes()), so it is not checked again.  The degree
+    multiset of factor_mod_p, from distinct-degree splitting alone: a block
+    of degree-d irreducibles of multiplicity k holds deg(block) / d of them,
+    so no block is split into its factors.
+    """
+    f = ip.monic(ip.trim(ints, p), p)
+    rows = _frobenius_matrix(f, p)[1]
+    out = []
+    for block, d, k in _distinct_degree(f, p, rows):
+        out.extend([d] * ((len(block) - 1) // d * k))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,29 @@ quintic or sextic is labelled from Frobenius pattern sampling: the smallest
 group consistent with the samples, reported as sampled evidence.
 cyclic_from_fiber alone reports C5 and C6 as exact, because the polynomial
 is then the fiber below a certified non-trivial quotient-curve point.
+
+Both samplers take the same good primes, in increasing order, from
+_good_primes.  frobenius_patterns reads each pattern from
+factor.degree_pattern, distinct-degree splitting alone: at a good prime f is
+squarefree mod p, so the degrees of the blocks give the pattern and no block
+need be split.  galois_group still calls the complete factor_mod_p per
+sampled prime, which bench/test_bench.py pins (ROADMAP item 1); the two
+give the same histogram.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import itertools
+from collections import Counter, namedtuple
 
-from .factor import factor_mod_p, factor_over_Q, primes, rational_roots
+from .factor import (
+    FACTOR_DEGREE_CAP,
+    degree_pattern,
+    factor_mod_p,
+    factor_over_Q,
+    primes,
+    rational_roots,
+)
 from .families import FamilyPolynomial
 from .fields import QQ, is_square
 from .intpoly import integer_model
@@ -57,7 +73,8 @@ def check_prime_budget(prime_budget, minimum=1):
 def _squarefree_model(f: UniPoly):
     """(unit, f_Z, disc f_Z, bad) for f = unit * f_Z, f_Z primitive in Z[x].
 
-    The discriminant of the integer model is computed once: it decides
+    f_Z is the list of its integer coefficients, lowest degree first.  The
+    discriminant of the integer model is computed once: it decides
     squarefreeness (disc f_Z != 0), gives disc f = unit^(2n-2) * disc f_Z,
     and with the leading coefficient names the bad primes, the prime
     factors of bad = lc(f_Z) * |disc f_Z|, that the sampling skips.
@@ -65,27 +82,15 @@ def _squarefree_model(f: UniPoly):
     if f.field != QQ:
         raise ValueError("Galois sampling needs rational coefficients")
     unit, ints = integer_model(f.coeffs)
-    fz = UniPoly(QQ, ints, f.var)
-    d = discriminant(fz)
+    d = discriminant(UniPoly(QQ, ints, f.var))
     if d == 0:
         raise ValueError("polynomial must be squarefree")
-    return unit, fz, d, ints[-1] * abs(d.numerator)
+    return unit, ints, d, ints[-1] * abs(d.numerator)
 
 
-def _sample(fz: UniPoly, bad, prime_budget):
-    """Histogram of the factor-degree patterns of fz mod p at the first
-    prime_budget primes that do not divide bad."""
-    histogram = {}
-    used = 0
-    for p in primes():
-        if used >= prime_budget:
-            break
-        if bad % p == 0:
-            continue
-        pattern = tuple(sorted(len(g) - 1 for g, m in factor_mod_p(fz, p) for _ in range(m)))
-        histogram[pattern] = histogram.get(pattern, 0) + 1
-        used += 1
-    return histogram
+def _good_primes(bad, prime_budget):
+    """The first prime_budget primes that do not divide bad, both samplers' primes."""
+    return itertools.islice((p for p in primes() if bad % p), prime_budget)
 
 
 def frobenius_patterns(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET):
@@ -93,11 +98,15 @@ def frobenius_patterns(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET):
 
     Uses the first prime_budget primes dividing neither the leading
     coefficient nor the discriminant of the primitive integer model;
-    prime_budget must lie between 1 and MAX_PRIME_BUDGET.
+    prime_budget must lie between 1 and MAX_PRIME_BUDGET, and the degree of f
+    between 2 and FACTOR_DEGREE_CAP.  At a good prime f is squarefree mod p,
+    so distinct-degree splitting alone gives the pattern (degree_pattern).
     """
     check_prime_budget(prime_budget)
-    _, fz, _, bad = _squarefree_model(f)
-    return _sample(fz, bad, prime_budget)
+    if not 2 <= f.degree <= FACTOR_DEGREE_CAP:
+        raise ValueError(f"degree must be 2..{FACTOR_DEGREE_CAP}, got {f.degree}")
+    _, ints, _, bad = _squarefree_model(f)
+    return dict(Counter(degree_pattern(ints, p) for p in _good_primes(bad, prime_budget)))
 
 
 def galois_group(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> GaloisReport:
@@ -111,7 +120,7 @@ def galois_group(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> Galois
     n = f.degree
     if not 3 <= n <= 6:
         raise ValueError(f"degree must be 3..6, got {n}")
-    unit, fz, disc_z, bad = _squarefree_model(f)
+    unit, ints, disc_z, bad = _squarefree_model(f)
     disc = unit ** (2 * n - 2) * disc_z
     irreducible = factor_over_Q(f).is_irreducible
     square = is_square(disc)
@@ -124,7 +133,13 @@ def galois_group(f: UniPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> Galois
     elif n == 4:
         label, certainty = _quartic_group(f.monic(), disc, square), "exact"
     else:
-        histogram = _sample(fz, bad, prime_budget)
+        # one complete factor_mod_p per sampled prime, which
+        # bench/test_bench.py pins until ROADMAP item 1 re-pins it
+        fz = UniPoly(QQ, ints, f.var)
+        histogram = dict(Counter(
+            tuple(sorted(len(g) - 1 for g, m in factor_mod_p(fz, p) for _ in range(m)))
+            for p in _good_primes(bad, prime_budget)
+        ))
         label, certainty = _quintic_group(histogram, square) if n == 5 else _sextic_group(histogram)
     return GaloisReport(
         degree=n,

@@ -92,6 +92,13 @@ class TestConstructL5:
         with pytest.raises(DegenerateParameterError):
             construct_l5(3, z=1)
 
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_rows_1_and_2_need_z(self, row):
+        with pytest.raises(DegenerateParameterError, match=f"row {row} needs the parameter z"):
+            construct_l5(row)
+        with pytest.raises(DegenerateParameterError, match=f"row {row} needs the parameter z"):
+            construct_l5(row, t=2, m=1)
+
 
 class TestConstructL3:
     def test_fixture(self):
@@ -418,6 +425,12 @@ def test_construct_l5_refuses_as_printed_off_row1(row, params):
         ConstructionInput(5, row, params, as_printed=True)
     assert str(direct.value) == str(checked.value)
     assert construct_l5(1, z=1, as_printed=True) != construct_l5(1, z=1)
+
+
+@pytest.mark.parametrize("l", [2, 7, 8])
+def test_quotient_model_refuses_a_level_outside_3_to_6(l):
+    with pytest.raises(ValueError, match=f"constructions cover l in {{3,4,5,6}}, got {l}"):
+        quotient_model(l, Fraction(2))
 
 
 def test_construction_input_keeps_the_table_order():

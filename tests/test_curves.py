@@ -179,6 +179,26 @@ def test_b_form_and_b_point_round_trip():
     assert curve.from_b_point(xb, yb) == P
 
 
+def test_order_of_point_refuses_a_bound_below_1():
+    curve, A = kubert_curve(5, Fraction(1))
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            curve.order_of_point(A, bound)
+
+
+def test_is_infinite_order_refuses_a_curve_over_Q_c():
+    Fc = FunctionField("c")
+    curve, A = kubert_curve(5, Fc.gen)
+    with pytest.raises(ValueError, match="specific to curves over Q"):
+        curve.is_infinite_order(A)
+
+
+def test_infinity_has_no_b_point():
+    curve, _ = kubert_curve(3, 0, 6)
+    with pytest.raises(ValueError, match="infinity has no affine b-form image"):
+        curve.b_point(INFINITY)
+
+
 def test_b_form_identity_symbolic():
     Fc = FunctionField("c")
     curve, A = kubert_curve(5, Fc.gen)

@@ -7,6 +7,7 @@ import pytest
 
 from ellquot import (
     QQ,
+    FunctionField,
     UniPoly,
     ZeroPolynomialError,
     discriminant,
@@ -332,6 +333,26 @@ def test_rational_roots_large_coefficients():
     r = Fraction(123456789, 987654321)
     f = (x - r) * (x ** 2 + 7) * Fraction(10 ** 30 + 57)
     assert rational_roots(f) == [r]
+
+
+@pytest.mark.parametrize("name, call", [
+    ("factor_mod_p", lambda f: factor_mod_p(f, 5)),
+    ("factor_over_Q", factor_over_Q),
+    ("rational_roots", rational_roots),
+], ids=["factor_mod_p", "factor_over_Q", "rational_roots"])
+def test_factoring_refuses_coefficients_outside_Q(name, call):
+    X = UniPoly.gen(FunctionField("c"))
+    with pytest.raises(ValueError, match=f"{name} needs rational coefficients"):
+        call(X ** 2 + 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (factor_over_Q, "cannot factor the zero polynomial"),
+    (rational_roots, "the zero polynomial has every rational root"),
+], ids=["factor_over_Q", "rational_roots"])
+def test_factoring_over_Q_refuses_the_zero_polynomial(call, message):
+    with pytest.raises(ZeroPolynomialError, match=message):
+        call(UniPoly.zero(QQ))
 
 
 def test_degree_cap():

@@ -17,7 +17,7 @@ from ellquot import (
     shanks_cubic,
 )
 from ellquot import galois
-from ellquot.factor import factor_mod_p, factor_over_Q
+from ellquot.factor import FACTOR_DEGREE_CAP, degree_pattern, factor_mod_p, factor_over_Q
 from ellquot.fields import is_square
 from ellquot.galois import DEFAULT_PRIME_BUDGET, MAX_PRIME_BUDGET, MIN_PRIME_BUDGET
 from ellquot.jsonio import galois_report_to_json
@@ -245,12 +245,55 @@ def test_an_irreducible_quintic_or_sextic_samples_its_whole_budget(monkeypatch, 
     assert rep.primes_used == sum(rep.pattern_histogram.values()) == budget
 
 
+def _count_patterns(monkeypatch):
+    """The primes frobenius_patterns takes a pattern at, appended in turn."""
+    primes = []
+
+    def counting(ints, p):
+        primes.append(p)
+        return degree_pattern(ints, p)
+
+    monkeypatch.setattr(galois, "degree_pattern", counting)
+    return primes
+
+
+@pytest.mark.parametrize("f", [p_ncl5(1, 2).poly, x ** 5 - x - 1, x ** 6 + x + 1],
+                         ids=["D5 quintic", "S5 quintic", "sextic"])
+@pytest.mark.parametrize("budget", [20, 60])
+def test_frobenius_patterns_takes_one_pattern_per_prime_that_galois_group_factors_at(monkeypatch, f, budget):
+    factored = _count_samples(monkeypatch)
+    patterned = _count_patterns(monkeypatch)
+    hist = frobenius_patterns(f, budget)
+    assert factored == []
+    assert len(patterned) == len(set(patterned)) == budget == sum(hist.values())
+    assert galois_group(f, budget).pattern_histogram == hist
+    assert factored == patterned
+
+
 def _refuse_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the input was checked")
 
     monkeypatch.setattr(galois, "factor_mod_p", no_work)
+    monkeypatch.setattr(galois, "degree_pattern", no_work)
     monkeypatch.setattr(galois, "factor_over_Q", no_work)
+    return no_work
+
+
+@pytest.mark.parametrize("f", [UniPoly.zero(QQ), UniPoly.constant(QQ, 3), x + 1, x ** 17 + x + 1],
+                         ids=["zero", "degree 0", "degree 1", "degree 17"])
+def test_frobenius_patterns_refuses_a_degree_outside_its_range_before_any_work(monkeypatch, f):
+    no_work = _refuse_work(monkeypatch)
+    monkeypatch.setattr(galois, "discriminant", no_work)
+    monkeypatch.setattr(galois, "integer_model", no_work)
+    with pytest.raises(ValueError, match=f"degree must be 2..{FACTOR_DEGREE_CAP}, got {f.degree}"):
+        frobenius_patterns(f, 5)
+
+
+def test_frobenius_patterns_takes_the_degree_cap():
+    hist = frobenius_patterns(x ** FACTOR_DEGREE_CAP + x + 1, 5)
+    assert sum(hist.values()) == 5
+    assert all(sum(pattern) == FACTOR_DEGREE_CAP for pattern in hist)
 
 
 @pytest.mark.parametrize("budget", [MIN_PRIME_BUDGET - 1, MAX_PRIME_BUDGET + 1])

@@ -23,6 +23,7 @@ from ellquot import (
     resultant,
 )
 from ellquot import intpoly as ip
+from ellquot.factor import degree_pattern
 from ellquot.curves import KUBERT_PARAMETERS
 from ellquot.jsonio import (
     curve_to_json,
@@ -191,6 +192,29 @@ def test_factor_mod_p_agrees_with_sympy_and_returns_irreducibles(f_p):
     )
     for g, _ in fl:
         assert sympy.Poly(list(reversed(g)), X, modulus=p).is_irreducible
+
+
+@st.composite
+def integer_products_mod_p(draw):
+    """(f, p): an integer unit times g_i^m_i, g_i of degree 1..3 and m_i in
+    1..3, degree <= 16, with p from a fixed list not dividing lc f."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 367]))
+    f = UniPoly.constant(QQ, draw(st.integers(1, 9)))
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(polys(1, 3, st.integers(-9, 9).map(Fraction)))
+        m = draw(st.integers(1, 3))
+        if f.degree + m * g.degree <= 16:
+            f = f * g ** m
+    assume(f.lc % p)
+    return f, p
+
+
+@SETTINGS
+@given(integer_products_mod_p())
+def test_degree_pattern_is_the_degree_multiset_of_factor_mod_p(f_p):
+    f, p = f_p
+    expected = tuple(sorted(len(g) - 1 for g, m in factor_mod_p(f, p) for _ in range(m)))
+    assert degree_pattern([int(c) for c in f.coeffs], p) == expected
 
 
 def _to_sympy(f):

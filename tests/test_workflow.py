@@ -1,5 +1,6 @@
-"""The CI workflow parses, defines its three jobs, runs tier-1 on Python
-3.10 to 3.13 and holds only shell that bash accepts.  PyYAML serves only as a
+"""The CI workflow parses, defines its three jobs with a time limit each,
+runs tier-1 on Python 3.10 to 3.13, writes the battery time to the job
+summary and holds only shell that bash accepts.  PyYAML serves only as a
 test dependency."""
 
 import subprocess
@@ -35,6 +36,18 @@ def test_tier1_job_runs_the_tier1_command(workflow):
 def test_tier1_job_runs_on_python_3_10_to_3_13(workflow):
     matrix = workflow["jobs"]["tier-1"]["strategy"]["matrix"]
     assert matrix["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
+
+
+def test_every_job_sets_a_time_limit(workflow):
+    # without one a hang runs for GitHub's 6-hour default
+    for name, job in workflow["jobs"].items():
+        limit = job.get("timeout-minutes")
+        assert isinstance(limit, int) and 0 < limit <= 30, (name, limit)
+
+
+def test_battery_job_writes_its_time_to_the_job_summary(workflow):
+    runs = _runs(workflow["jobs"]["battery-optimised"])
+    assert any("elapsed_seconds" in run and '"$GITHUB_STEP_SUMMARY"' in run for run in runs)
 
 
 def test_every_run_block_passes_bash_syntax_check(workflow):
